@@ -12,6 +12,7 @@
 
 #include "bench_harness/report.h"
 #include "fol/fol1.h"
+#include "hashing/hash_map.h"
 #include "hashing/open_table.h"
 #include "sorting/address_calc.h"
 #include "sorting/dist_count.h"
@@ -508,11 +509,39 @@ FusedCutSample run_fused_cut_probe() {
   return s;
 }
 
+// ---- VectorHashMap upsert chime accounting ----------------------------------
+//
+// One batch of N = 2^12 lanes over N/2 keys (every key twice) into a fresh
+// map: the growth rehash, the probe loop with its slot elections, and the
+// ordered value write. Deterministic like the FOL1 probe above, so the
+// chime-regression job holds its instruction count to a golden ceiling.
+
+std::uint64_t run_map_upsert_probe() {
+  const std::size_t n = std::size_t{1} << 12;
+  const WordVec pool = random_unique_keys(n / 2, Word{1} << 30, 29);
+  WordVec keys(n);
+  WordVec values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = pool[i % pool.size()];
+    values[i] = static_cast<Word>(i);
+  }
+  folvec::vm::MachineConfig cfg;
+  cfg.fuse = true;
+  cfg.scatter_order = folvec::vm::ScatterOrder::kForward;
+  VectorMachine m(cfg);
+  folvec::hashing::VectorHashMap map;
+  map.upsert_batch(m, keys, values);
+  FOLVEC_CHECK(map.size() == pool.size(),
+               "the upsert probe must enter each distinct key once");
+  return m.cost().total_instructions();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const GuardSample guard = run_overhead_guard();
   const FusedCutSample fused = run_fused_cut_probe();
+  const std::uint64_t map_upsert_instructions = run_map_upsert_probe();
 
   folvec::bench::BenchReport report("micro_vm");
   report.config("guard_reps", 7);
@@ -527,6 +556,7 @@ int main(int argc, char** argv) {
   report.note("unfused_fol1_chime_instructions", fused.unfused_instructions);
   report.note("unfused_fol1_chime_elements", fused.unfused_elements);
   report.note("fol1_fused_chime_cut", fused.chime_cut);
+  report.note("map_upsert_chime_instructions", map_upsert_instructions);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

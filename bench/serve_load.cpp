@@ -383,8 +383,9 @@ int main() {
     // exponentially — the bench would measure memory exhaustion, not
     // serving. A handful of faults spread over the run is the realistic
     // shard-fault shape. The period scales with the request count (the
-    // run drives roughly n/6 saturation checks) so the plan still fires
-    // when FOLVEC_SERVE_REQUESTS shrinks the smoke size.
+    // run drives roughly n/2 saturation checks, one per shard upsert batch
+    // and per non-empty rehash) so the plan still fires when
+    // FOLVEC_SERVE_REQUESTS shrinks the smoke size.
     const std::size_t fault_period =
         std::max<std::size_t>(13, n_requests / 32) | 1;
     const std::string fault_spec = "probe%" + std::to_string(fault_period);

@@ -1,6 +1,6 @@
 #include "hashing/hash_map.h"
 
-#include <unordered_set>
+#include <algorithm>
 #include <utility>
 
 #include "support/faultsim.h"
@@ -24,6 +24,29 @@ std::size_t round_capacity(std::size_t want) {
   return cap;
 }
 
+/// The lanes of a lockstep probe: each lane's key, its position in the
+/// batch, and the slot it probes next.
+struct ProbeLanes {
+  ProbeLanes(VectorMachine& m, std::span<const Word> keys, Word size)
+      : key(m.copy(keys)),
+        lane(m.iota(keys.size())),
+        slot(m.mod_scalar(key, size)) {}
+
+  /// Keeps the lanes of `rest` and steps them along Figure 8's
+  /// key-dependent probe sequence: slot <- (slot + (key & 31) + 1) mod size.
+  void advance(VectorMachine& m, const Mask& rest, Word size) {
+    key = m.compress(key, rest);
+    lane = m.compress(lane, rest);
+    slot = m.compress(slot, rest);
+    slot = m.mod_scalar(m.add(slot, m.add_scalar(m.and_scalar(key, 31), 1)),
+                        size);
+  }
+
+  WordVec key;
+  WordVec lane;
+  WordVec slot;
+};
+
 }  // namespace
 
 VectorHashMap::VectorHashMap(std::size_t initial_capacity)
@@ -35,37 +58,27 @@ WordVec VectorHashMap::find_slots(VectorMachine& m,
   WordVec result(keys.size(), -1);
   if (keys.empty()) return result;
   const auto size = static_cast<Word>(slots_.size());
-  WordVec key_vec = m.copy(keys);
-  WordVec lane = m.iota(keys.size());
-  WordVec hashed = m.mod_scalar(key_vec, size);
+  ProbeLanes p(m, keys, size);
   const std::size_t max_iterations = slots_.size() * 33;
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    const WordVec probed = m.gather(slots_, hashed);
-    const Mask hit = m.eq(probed, key_vec);
+    const WordVec probed = m.gather(slots_, p.slot);
+    const Mask hit = m.eq(probed, p.key);
     const Mask miss = m.eq_scalar(probed, kUnentered);
-    const WordVec hit_lanes = m.compress(lane, hit);
-    const WordVec hit_slots = m.compress(hashed, hit);
-    for (std::size_t i = 0; i < hit_lanes.size(); ++i) {
-      result[static_cast<std::size_t>(hit_lanes[i])] = hit_slots[i];
-    }
+    m.scatter_masked(result, p.lane, p.slot, hit);
     const Mask active = m.mask_not(m.mask_or(hit, miss));
     if (m.count_true(active) == 0) return result;
-    key_vec = m.compress(key_vec, active);
-    lane = m.compress(lane, active);
-    hashed = m.compress(hashed, active);
-    hashed = m.mod_scalar(
-        m.add(hashed, m.add_scalar(m.and_scalar(key_vec, 31), 1)), size);
+    p.advance(m, active, size);
   }
   // A full sweep without every lane retiring: those lanes sit on probe
   // cycles with no empty slot (full table or the gcd hazard of
   // open_table.h) and are reported absent. Surfaced rather than silent —
   // see multi_hash_open_contains.
-  telemetry::count("hashing.lookup_sweep_exhausted", key_vec.size());
+  telemetry::count("hashing.lookup_sweep_exhausted", p.key.size());
   return result;
 }
 
-WordVec VectorHashMap::insert_tracking_slots(VectorMachine& m,
-                                             const WordVec& keys) {
+WordVec VectorHashMap::enter_keys(VectorMachine& m,
+                                  std::span<const Word> keys) {
   WordVec result(keys.size(), -1);
   if (keys.empty()) return result;
   if (FaultPlan* plan = faults();
@@ -75,49 +88,43 @@ WordVec VectorHashMap::insert_tracking_slots(VectorMachine& m,
                            "injected probe-cycle saturation");
   }
   const auto size = static_cast<Word>(slots_.size());
-  // Figure 8 races distinct keys for empty slots: a sanctioned data race.
-  const vm::ConflictWindow window(m, slots_, vm::WindowKind::kDataRace,
-                                  "hash map insert");
-  WordVec key_vec = m.copy(keys);
-  WordVec lane = m.iota(keys.size());
-  WordVec hashed = m.mod_scalar(key_vec, size);
-  // Figure 8 with lane bookkeeping: store into empty slots, keep the lanes
-  // whose key survived the overwrite-and-check, re-probe the rest.
+  ProbeLanes p(m, keys, size);
   {
-    const Mask empty = m.eq_scalar(m.gather(slots_, hashed), kUnentered);
-    m.scatter_masked(slots_, hashed, key_vec, empty);
-  }
-  const std::size_t max_iterations = slots_.size() * 33;
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    const Mask entered = m.eq(m.gather(slots_, hashed), key_vec);
-    const WordVec done_lanes = m.compress(lane, entered);
-    const WordVec done_slots = m.compress(hashed, entered);
-    for (std::size_t i = 0; i < done_lanes.size(); ++i) {
-      result[static_cast<std::size_t>(done_lanes[i])] = done_slots[i];
+    // Figure 8 races distinct keys for empty slots: a sanctioned data race.
+    // The election writes lane labels into the claimed slots' value words:
+    // a label round, whose labels the caller's value write overwrites.
+    const vm::ConflictWindow race(m, slots_, vm::WindowKind::kDataRace,
+                                  "hash map insert");
+    const vm::ConflictWindow election(m, values_, vm::WindowKind::kLabelRound,
+                                      "hash map slot election");
+    const std::size_t max_iterations = slots_.size() * 33;
+    for (std::size_t iter = 0; iter < max_iterations; ++iter) {
+      // Figure 8's overwrite-and-check on the lanes that see an empty slot.
+      // Lanes carrying the same key walk the same probe sequence in
+      // lockstep, so they write the same word and all pass the check.
+      const WordVec probed = m.gather(slots_, p.slot);
+      const Mask claimed = m.scatter_gather_eq_masked(
+          slots_, p.slot, p.key, m.eq_scalar(probed, kUnentered));
+      // One FOL1 label round over the claimed slots elects one lane per
+      // slot, so the winners count the newly filled slots.
+      if (m.count_true(claimed) > 0) {
+        entered_ += m.count_true(
+            m.scatter_gather_eq_masked(values_, p.slot, p.lane, claimed));
+      }
+      const Mask hit = m.mask_or(m.eq(probed, p.key), claimed);
+      m.scatter_masked(result, p.lane, p.slot, hit);
+      const Mask rest = m.mask_not(hit);
+      if (m.count_true(rest) == 0) return result;
+      p.advance(m, rest, size);
     }
-    const Mask rest = m.mask_not(entered);
-    if (m.count_true(rest) == 0) {
-      entered_ += keys.size();
-      return result;
-    }
-    key_vec = m.compress(key_vec, rest);
-    lane = m.compress(lane, rest);
-    hashed = m.compress(hashed, rest);
-    hashed = m.mod_scalar(
-        m.add(hashed, m.add_scalar(m.and_scalar(key_vec, 31), 1)), size);
-    const Mask empty = m.eq_scalar(m.gather(slots_, hashed), kUnentered);
-    m.scatter_masked(slots_, hashed, key_vec, empty);
   }
   // Non-convergence after a full sweep is data-dependent (saturated probe
   // cycles on a composite-sized table), not a library bug: report it
   // recoverably so upsert_batch can rehash bigger and retry. Keys that did
-  // land stay in slots_ — so reconcile entered_ with the table before
-  // surfacing the error. Without this, a retry whose rehash also fails (and
-  // rolls back to exactly this state) would treat the landed strays as
-  // pre-existing keys forever: size() undercounts and a later erase of
-  // those keys underflows the live count.
-  entered_ = static_cast<std::size_t>(
-      m.count_true(m.ge_scalar(m.load(slots_, 0, slots_.size()), 0)));
+  // land stay in slots_ and were counted by their election, so size()
+  // stays truthful; their value words still hold labels nobody will
+  // overwrite, so they are retired before the recovery rehash reads them.
+  m.retire_work(values_);
   telemetry::count("hashing.probe_cycle_saturated");
   throw RecoverableError(StatusCode::kProbeCycleSaturated,
                          "hash map insert swept the table without converging");
@@ -127,10 +134,8 @@ void VectorHashMap::rehash(VectorMachine& m, std::size_t min_capacity) {
   ++rehashes_;
   // Compress the live keys and values out of the old arrays with vector
   // operations, then re-enter them into the fresh table (tombstones drop
-  // out with the compress: live slots hold non-negative keys). Because a
-  // live slot holds a real key whether or not entered_ counted it, this
-  // also heals the partial state a failed insert_tracking_slots leaves
-  // behind — the strays are simply re-entered and re-counted.
+  // out with the compress: live slots hold non-negative keys). A key left
+  // behind by a failed enter_keys is live and counted like any other.
   const WordVec old_keys = m.load(slots_, 0, slots_.size());
   const Mask live = m.ge_scalar(old_keys, 0);
   const WordVec keys = m.compress(old_keys, live);
@@ -149,7 +154,7 @@ void VectorHashMap::rehash(VectorMachine& m, std::size_t min_capacity) {
   entered_ = 0;
   tombstones_ = 0;
   try {
-    const WordVec new_slots = insert_tracking_slots(m, keys);
+    const WordVec new_slots = enter_keys(m, keys);
     m.scatter(values_, new_slots, vals);
   } catch (const RecoverableError&) {
     slots_ = std::move(saved_slots);
@@ -161,30 +166,40 @@ void VectorHashMap::rehash(VectorMachine& m, std::size_t min_capacity) {
 }
 
 void VectorHashMap::grow(VectorMachine& m, std::size_t need) {
-  while (static_cast<double>(entered_ + tombstones_ + need) >
-         0.7 * static_cast<double>(slots_.size())) {
-    rehash(m, slots_.size() * 2);
+  // Run the doubling on the capacity alone and rebuild once. Only the
+  // current table holds tombstones: the first rebuild would drop them.
+  std::size_t capacity = slots_.size();
+  std::size_t occupied = entered_ + tombstones_;
+  while (static_cast<double>(occupied + need) >
+         0.7 * static_cast<double>(capacity)) {
+    capacity = round_capacity(capacity * 2);
+    occupied = entered_;
   }
+  if (capacity != slots_.size()) rehash(m, capacity);
 }
 
 std::size_t VectorHashMap::erase_batch(VectorMachine& m,
                                        std::span<const Word> keys) {
   if (keys.empty()) return 0;
   const WordVec slot_vec = find_slots(m, keys);
-  const Mask present = m.ne_scalar(slot_vec, -1);
-  const WordVec hit_slots = m.compress(slot_vec, present);
+  const WordVec hit_slots = m.compress(slot_vec, m.ne_scalar(slot_vec, -1));
   if (hit_slots.empty()) return 0;
 
-  // Duplicate keys in the batch resolve to the same slot; count distinct
-  // slots on the scalar unit while the vector unit does the stores.
-  std::unordered_set<Word> distinct;
-  for (const Word s : hit_slots) {
-    m.scalar_mem(2);
-    m.scalar_branch(1);
-    distinct.insert(s);
+  // Duplicate keys in the batch resolve to the same slot; the upsert's
+  // value-word election counts the distinct slots. It is the masked form,
+  // as in the upsert, because injected ELS faults target unmasked scatters
+  // and would lose a slot from the count. The erased values are dead, so
+  // their labels are retired rather than overwritten.
+  std::size_t removed = 0;
+  {
+    const vm::ConflictWindow election(m, values_, vm::WindowKind::kLabelRound,
+                                      "hash map erase election");
+    removed = m.count_true(m.scatter_gather_eq_masked(
+        values_, hit_slots, m.iota(hit_slots.size()),
+        Mask(hit_slots.size(), 1)));
   }
+  m.retire_work(values_);
   m.scatter(slots_, hit_slots, m.splat(hit_slots.size(), kTombstone));
-  const std::size_t removed = distinct.size();
   entered_ -= removed;
   tombstones_ += removed;
 
@@ -212,7 +227,12 @@ void VectorHashMap::upsert_batch(VectorMachine& m,
   constexpr std::size_t kMaxRecoveries = 4;
   for (std::size_t attempt = 0;; ++attempt) {
     try {
-      upsert_batch_once(m, keys, values);
+      grow(m, keys.size());
+      const WordVec slot_vec = enter_keys(m, keys);
+      // Value write: the order-preserving scatter makes "last lane wins"
+      // hold for duplicate keys within the batch, matching sequential
+      // upserts. It also overwrites every election label.
+      m.scatter_ordered(values_, slot_vec, values);
       if (attempt != 0) {
         telemetry::count("hashing.upsert_recoveries", attempt);
         if (faults() != nullptr) telemetry::count("fault.recovered.probe");
@@ -228,50 +248,6 @@ void VectorHashMap::upsert_batch(VectorMachine& m,
       }
     }
   }
-}
-
-void VectorHashMap::upsert_batch_once(VectorMachine& m,
-                                      std::span<const Word> keys,
-                                      std::span<const Word> values) {
-  grow(m, keys.size());
-
-  // Split the batch into existing keys (value overwrite) and new keys
-  // (Figure 8 insert). Duplicates *within* the batch need care: only the
-  // first occurrence of a new key performs the insert; the rest become
-  // value overwrites of that freshly created slot. One overwrite-and-check
-  // round on a per-key claim table makes the split.
-  const WordVec existing_slots = find_slots(m, keys);
-  WordVec key_vec = m.copy(keys);
-  WordVec val_vec = m.copy(values);
-
-  // Lanes whose key is already in the map: slot known.
-  WordVec slot_vec = existing_slots;  // -1 where absent
-
-  const Mask absent = m.eq_scalar(slot_vec, -1);
-  if (m.count_true(absent) > 0) {
-    const WordVec absent_keys = m.compress(key_vec, absent);
-    const WordVec absent_lanes = m.compress(m.iota(keys.size()), absent);
-    // The Figure 8 inserter requires distinct keys, so only the first
-    // occurrence of each absent key inserts (scalar-unit bookkeeping, one
-    // pass); the duplicates then resolve their slot by lookup like any
-    // other lane.
-    std::unordered_set<Word> seen;
-    WordVec first_keys;
-    for (const Word k : absent_keys) {
-      m.scalar_mem(2);
-      m.scalar_branch(1);
-      if (seen.insert(k).second) first_keys.push_back(k);
-    }
-    insert_tracking_slots(m, first_keys);
-    const WordVec resolved = find_slots(m, absent_keys);
-    for (std::size_t i = 0; i < absent_lanes.size(); ++i) {
-      slot_vec[static_cast<std::size_t>(absent_lanes[i])] = resolved[i];
-    }
-  }
-
-  // Value write: the order-preserving scatter makes "last lane wins" hold
-  // for duplicate keys within the batch, matching sequential upserts.
-  m.scatter_ordered(values_, slot_vec, val_vec);
 }
 
 WordVec VectorHashMap::lookup_batch(VectorMachine& m,

@@ -4,18 +4,23 @@
 // The open-addressing primitives in open_table.h mirror the paper's
 // listings exactly (keys only, fixed table, caller-managed storage); this
 // facade wraps them into what a downstream user actually wants:
-//   * upsert semantics — a batch may mix new and existing keys; existing
-//     keys get their value overwritten (within a batch, the LAST lane of a
-//     duplicated key wins, matching sequential semantics; this uses the
-//     order-guaranteeing VSTX scatter for the value write);
+//   * upsert semantics — a batch may mix new and existing keys, and repeat
+//     either; existing keys get their value overwritten (within a batch,
+//     the LAST lane of a duplicated key wins, matching sequential
+//     semantics; this uses the order-guaranteeing VSTX scatter for the
+//     value write);
 //   * a parallel value array addressed by the key's slot;
 //   * automatic rehash at 70% load, itself vectorized: the survivor keys
 //     and values are compressed out and re-entered into the bigger table.
 //
-// Insertion tracks each key's final slot, which the listing-faithful
-// multi_hash_open_insert does not expose; the probe loop is therefore
-// restated here with slot tracking (same structure, same FOL
-// overwrite-and-check core).
+// Upserts and rehashes share one probe loop over every lane of the batch,
+// the Figure 8 overwrite-and-check with each lane's final slot recorded.
+// Lanes carrying the same key follow the same key-dependent probe
+// sequence, so they write the same word and all pass the check: keys need
+// not be distinct. Distinctness matters only for counting the newly filled
+// slots, and that is one FOL1 label round: the claiming lanes scatter their
+// lane ids into the claimed slots' value words, one survives per slot, and
+// the value write that follows overwrites the labels.
 #pragma once
 
 #include <cstddef>
@@ -75,25 +80,22 @@ class VectorHashMap {
   std::size_t rehash_count() const { return rehashes_; }
 
  private:
-  /// One upsert attempt; throws folvec::RecoverableError on recoverable
-  /// exhaustion (upsert_batch's retry loop rehashes and re-runs it).
-  void upsert_batch_once(vm::VectorMachine& m, std::span<const vm::Word> keys,
-                         std::span<const vm::Word> values);
-
-  /// Enters keys (all distinct, none present) and returns their slots.
-  /// Throws folvec::RecoverableError(kProbeCycleSaturated) when the probe
-  /// loop sweeps the table without converging or fault injection forces the
-  /// condition; the table may then hold a partial subset of `keys`, and
-  /// entered_ is reconciled with the live slots before the throw so size()
-  /// stays truthful even when every later recovery attempt fails too (the
-  /// retry path treats the landed strays as existing keys).
-  vm::WordVec insert_tracking_slots(vm::VectorMachine& m,
-                                    const vm::WordVec& keys);
+  /// Enters every absent key of `keys` (duplicates and keys already
+  /// present are fine), returns each lane's slot, and grows entered_ by the
+  /// number of slots newly filled. Throws
+  /// folvec::RecoverableError(kProbeCycleSaturated) when the probe loop
+  /// sweeps the table without converging or fault injection forces the
+  /// condition; the table may then hold a partial subset of `keys`, already
+  /// counted in entered_, so size() stays truthful and a retry finds them
+  /// as existing keys.
+  vm::WordVec enter_keys(vm::VectorMachine& m, std::span<const vm::Word> keys);
 
   /// Finds the slot of each key, -1 when absent (lockstep probe).
   vm::WordVec find_slots(vm::VectorMachine& m,
                          std::span<const vm::Word> keys) const;
 
+  /// Rehashes once, to the capacity repeated doubling would reach, when
+  /// `need` more keys would push the load (tombstones included) past 0.7.
   void grow(vm::VectorMachine& m, std::size_t need);
 
   /// Rebuilds into a fresh table of at least `min_capacity`, dropping

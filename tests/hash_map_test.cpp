@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <unordered_map>
 
@@ -15,6 +16,7 @@
 namespace folvec::hashing {
 namespace {
 
+using vm::BackendKind;
 using vm::MachineConfig;
 using vm::ScatterOrder;
 using vm::VectorMachine;
@@ -160,6 +162,162 @@ TEST(VectorHashMapEraseTest, HeavyChurnTriggersTombstoneRehash) {
   }
 }
 
+TEST(VectorHashMapGrowthTest, FreshMapRehashesOnceForALargeBatch) {
+  // 2^12 lanes into the initial 67 slots: repeated doubling reaches 8703
+  // (0.7 * 4351 < 4096 <= 0.7 * 8703), and the table is rebuilt once, not
+  // once per doubling.
+  VectorMachine m;
+  VectorHashMap map;
+  const auto keys = random_unique_keys(std::size_t{1} << 12, 1 << 30, 5);
+  map.upsert_batch(m, keys, keys);
+  EXPECT_EQ(map.capacity(), 8703u);
+  EXPECT_EQ(map.rehash_count(), 1u);
+  EXPECT_EQ(map.size(), keys.size());
+  EXPECT_EQ(map.lookup_batch(m, keys, -1), WordVec(keys.begin(), keys.end()));
+}
+
+TEST(VectorHashMapGrowthTest, OnlyTheFirstDoublingCountsTombstones) {
+  VectorMachine m;
+  VectorHashMap map;  // capacity 67
+  WordVec keys;
+  for (Word k = 0; k < 36; ++k) keys.push_back(k);
+  map.upsert_batch(m, keys, keys);
+  map.erase_batch(m, std::span<const Word>(keys).first(16));
+  ASSERT_EQ(map.capacity(), 67u);
+  ASSERT_EQ(map.rehash_count(), 0u);
+  // 20 live + 16 tombstones + 60 new overflow 67 slots. After one doubling
+  // the tombstones are gone and 80 keys fit 135 slots; counting the
+  // tombstones again would double once more.
+  WordVec more;
+  for (Word k = 100; k < 160; ++k) more.push_back(k);
+  map.upsert_batch(m, more, more);
+  EXPECT_EQ(map.capacity(), 135u);
+  EXPECT_EQ(map.rehash_count(), 1u);
+  EXPECT_EQ(map.size(), 80u);
+}
+
+// ---- one probe loop for present, absent and repeated keys -------------------
+
+struct ProbeLoopCase {
+  ScatterOrder order;
+  BackendKind backend;
+  bool audit;
+};
+
+std::string probe_loop_case_name(
+    const ::testing::TestParamInfo<ProbeLoopCase>& info) {
+  static const char* const kOrders[] = {"Forward", "Reverse", "Shuffled"};
+  static const char* const kBackends[] = {"Serial", "Parallel", "Simd",
+                                          "ParallelSimd"};
+  return std::string(kOrders[static_cast<int>(info.param.order)]) +
+         kBackends[static_cast<int>(info.param.backend)] +
+         (info.param.audit ? "Audit" : "");
+}
+
+class VectorHashMapProbeLoopTest
+    : public ::testing::TestWithParam<ProbeLoopCase> {
+ protected:
+  VectorHashMapProbeLoopTest() : m_(config()) {}
+
+  static MachineConfig config() {
+    MachineConfig cfg;
+    cfg.scatter_order = GetParam().order;
+    cfg.backend = GetParam().backend;
+    cfg.backend_threads = 2;
+    cfg.backend_grain = 64;  // let the parallel backend split short batches
+    cfg.audit = GetParam().audit;
+    return cfg;
+  }
+
+  /// Upserts one batch into the map and the sequential reference, then
+  /// checks the distinct count and last-write-wins lookups of every key
+  /// the reference holds plus the batch's own keys.
+  void upsert_and_check(const WordVec& keys, const WordVec& values) {
+    map_.upsert_batch(m_, keys, values);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      reference_[keys[i]] = values[i];
+    }
+    ASSERT_EQ(map_.size(), reference_.size());
+    check_lookups();
+  }
+
+  void erase_and_check(const WordVec& keys) {
+    std::size_t expected = 0;
+    for (const Word k : keys) expected += reference_.erase(k);
+    ASSERT_EQ(map_.erase_batch(m_, keys), expected);
+    ASSERT_EQ(map_.size(), reference_.size());
+    check_lookups();
+  }
+
+  void check_lookups() {
+    WordVec queries;
+    for (const auto& [k, v] : reference_) queries.push_back(k);
+    const WordVec found = map_.lookup_batch(m_, queries, -1);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(found[i], reference_.at(queries[i])) << "key " << queries[i];
+    }
+  }
+
+  VectorMachine m_;
+  VectorHashMap map_;
+  std::unordered_map<Word, Word> reference_;
+};
+
+TEST_P(VectorHashMapProbeLoopTest, HeavyDuplicateBatch) {
+  // 4096 lanes over 16 keys: every key repeats ~256 times in one batch.
+  Xoshiro256 rng(17);
+  for (int batch = 0; batch < 3; ++batch) {
+    WordVec keys(4096);
+    WordVec values(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = 1000 + 7 * rng.in_range(0, 15);
+      values[i] = rng.in_range(0, 1 << 20);
+    }
+    upsert_and_check(keys, values);
+    ASSERT_EQ(map_.size(), 16u);
+  }
+}
+
+TEST_P(VectorHashMapProbeLoopTest, MixedBatchesOverTombstonedChains) {
+  // Keys congruent modulo the capacity share a home slot, so every batch
+  // walks probe chains; erasing links in the middle leaves tombstones on
+  // them. Each batch mixes present, absent, erased and repeated keys.
+  const Word cap = static_cast<Word>(map_.capacity());
+  Xoshiro256 rng(23);
+  for (int round = 0; round < 12; ++round) {
+    WordVec keys(48);
+    WordVec values(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = rng.in_range(0, 3) + cap * rng.in_range(0, 9);
+      values[i] = rng.in_range(0, 1 << 20);
+    }
+    upsert_and_check(keys, values);
+    WordVec doomed;
+    for (const auto& [k, v] : reference_) {
+      if (rng.unit() < 0.3) doomed.push_back(k);
+    }
+    doomed.push_back(doomed.empty() ? 5 : doomed.front());  // a repeat
+    erase_and_check(doomed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrdersAndBackends, VectorHashMapProbeLoopTest,
+    ::testing::Values(
+        ProbeLoopCase{ScatterOrder::kForward, BackendKind::kSerial, false},
+        ProbeLoopCase{ScatterOrder::kReverse, BackendKind::kSerial, false},
+        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kSerial, false},
+        ProbeLoopCase{ScatterOrder::kForward, BackendKind::kSimd, false},
+        ProbeLoopCase{ScatterOrder::kReverse, BackendKind::kSimd, false},
+        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kSimd, false},
+        ProbeLoopCase{ScatterOrder::kForward, BackendKind::kParallel, false},
+        ProbeLoopCase{ScatterOrder::kReverse, BackendKind::kParallel, false},
+        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kParallel, false},
+        // ScatterCheck over the key race, the election label rounds and
+        // the erase retirements, whatever the environment says.
+        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kSerial, true}),
+    probe_loop_case_name);
+
 // ---- retry idempotency around the gcd probe-cycle hazard --------------------
 //
 // Capacity 135 = 27 * 5: a key with (key & 31) == 26 probes with step 27,
@@ -203,6 +361,26 @@ TEST(VectorHashMapRecoveryTest, SaturatedRetryKeepsDuplicateBatchExact) {
   // Exactly one entry per key: one erase sweep drains the table completely.
   EXPECT_EQ(map.erase_batch(m, six), six.size());
   EXPECT_EQ(map.size(), 0u);
+}
+
+TEST(VectorHashMapRecoveryTest, SaturatedRetryIsCleanUnderAudit) {
+  // The saturated attempt leaves election labels in the strays' value
+  // words; the recovery rehash reads every value word, which ScatterCheck
+  // flags unless the labels were retired before the throw.
+  MachineConfig cfg;
+  cfg.audit = true;
+  VectorMachine m(cfg);
+  VectorHashMap map(68);
+  const WordVec six = gcd_hazard_keys();
+  WordVec values;
+  for (std::size_t i = 0; i < six.size(); ++i) {
+    values.push_back(static_cast<Word>(300 + i));
+  }
+  map.upsert_batch(m, six, values);
+  EXPECT_GT(map.rehash_count(), 0u);
+  EXPECT_EQ(map.size(), six.size());
+  EXPECT_EQ(map.lookup_batch(m, six, -1), values);
+  EXPECT_TRUE(m.hazards().empty());
 }
 
 TEST(VectorHashMapRecoveryTest, ExhaustedRecoveryLeavesCountsConsistent) {
