@@ -21,12 +21,8 @@
 // unsharded VectorHashMap (full key sweep, bit-identical), so the bench
 // doubles as an end-to-end differential test at load sizes.
 //
-// A final section measures the parallel backend's scatter merge strategy
-// on exactly the scatters the serving layer issues (shard-local,
-// kShuffled => kExplicit traversal, sub-batch sized): kAuto against both
-// forced strategies. The wall-acceleration notes feed
-// bench/goldens/backend_scaling.json, encoding the kAuto cutover decision
-// (single-pass below ~160 lanes, two-pass above) as a regression floor.
+// Every shard machine runs the SIMD backend (kSimd at the host's best
+// level, or the FOLVEC_SIMD_LEVEL forced one).
 //
 // SLO notes: p50/p99 end-to-end latency and throughput land in wall-keyed
 // notes (exempt from the deterministic trend gate); the smoke-size SLO
@@ -191,11 +187,10 @@ struct ScenarioResult {
   std::size_t final_size = 0;
 };
 
-BatchServerConfig server_config(std::size_t shards, std::size_t workers) {
+BatchServerConfig server_config(std::size_t shards) {
   BatchServerConfig cfg;
   cfg.map.shards = shards;
-  cfg.map.machine.backend = vm::BackendKind::kParallelSimd;
-  cfg.map.machine.backend_threads = workers;
+  cfg.map.machine.backend = vm::BackendKind::kSimd;
   cfg.map.machine.audit = false;
   cfg.coalesce.max_batch = 512;
   cfg.coalesce.max_wait = std::chrono::microseconds(200);
@@ -205,9 +200,8 @@ BatchServerConfig server_config(std::size_t shards, std::size_t workers) {
 /// Pump mode with a burst schedule: submit `burst` requests, pump, repeat.
 /// Deterministic end state; wall time still measured for the table.
 ScenarioResult run_pumped(const std::vector<Op>& ops, std::size_t key_space,
-                          std::size_t shards, std::size_t workers,
-                          std::size_t burst) {
-  BatchServer server(server_config(shards, workers));
+                          std::size_t shards, std::size_t burst) {
+  BatchServer server(server_config(shards));
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t base = 0; base < ops.size(); base += burst) {
     const std::size_t end = std::min(ops.size(), base + burst);
@@ -239,8 +233,8 @@ ScenarioResult run_pumped(const std::vector<Op>& ops, std::size_t key_space,
 /// service progress (spin pacing; the dispatch thread drains behind).
 /// Wall-only numbers — nothing deterministic is read from this run.
 ScenarioResult run_open_loop(const std::vector<Op>& ops, std::size_t shards,
-                             std::size_t workers, double rate_rps) {
-  BatchServer server(server_config(shards, workers));
+                             double rate_rps) {
+  BatchServer server(server_config(shards));
   server.start();
   const auto t0 = std::chrono::steady_clock::now();
   const double ns_per_req = 1e9 / rate_rps;
@@ -270,66 +264,16 @@ ScenarioResult run_open_loop(const std::vector<Op>& ops, std::size_t shards,
   return r;
 }
 
-// ---- merge-strategy measurement (backend_scaling golden feed) --------------
-
-double run_merge_strategy(const std::vector<Op>& ops, std::size_t key_space,
-                          std::size_t workers, vm::MergeStrategy merge,
-                          WordVec* digest_out) {
-  serve::ShardedMapConfig cfg;
-  cfg.shards = 4;
-  cfg.machine.backend = vm::BackendKind::kParallel;
-  cfg.machine.backend_threads = workers;
-  cfg.machine.backend_grain = 8;  // sub-batches are short; let the pool split
-  cfg.machine.audit = false;
-  cfg.machine.scatter_order = vm::ScatterOrder::kShuffled;  // kExplicit path
-  cfg.machine.merge_strategy = merge;
-  serve::ShardedMap map(cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    std::size_t j = i;
-    while (j < ops.size() && ops[j].kind == ops[i].kind) ++j;
-    // Serve-shaped batching: cap runs at the coalescer's default batch.
-    for (std::size_t base = i; base < j; base += 512) {
-      const std::size_t end = std::min(j, base + 512);
-      WordVec keys;
-      for (std::size_t k = base; k < end; ++k) keys.push_back(ops[k].key);
-      switch (ops[i].kind) {
-        case OpKind::kUpsert: {
-          WordVec vals;
-          for (std::size_t k = base; k < end; ++k) vals.push_back(ops[k].value);
-          map.upsert_batch(keys, vals);
-          break;
-        }
-        case OpKind::kLookup:
-          map.lookup_batch(keys, serve::kAbsent);
-          break;
-        case OpKind::kErase:
-          map.erase_batch(keys);
-          break;
-      }
-    }
-    i = j;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  WordVec sweep;
-  for (Word k = 0; k < static_cast<Word>(key_space); ++k) sweep.push_back(k);
-  *digest_out = map.lookup_batch(sweep, serve::kAbsent);
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 }  // namespace
 
 int main() {
   bench::BenchReport report("serve_load");
   const std::size_t n_requests = env_size("FOLVEC_SERVE_REQUESTS", 20000);
-  const std::size_t workers = env_size("FOLVEC_BENCH_THREADS", 4);
   const std::size_t key_space = 4096;
   const std::size_t shards = 4;
   report.config("requests_per_scenario", static_cast<long long>(n_requests));
   report.config("key_space", static_cast<long long>(key_space));
   report.config("shards", static_cast<long long>(shards));
-  report.config("workers", static_cast<long long>(workers));
 
   // ---- pump-mode scenario table (deterministic digests + counters) --------
   struct Scenario {
@@ -350,7 +294,7 @@ int main() {
   for (const Scenario& s : scenarios) {
     std::cerr << "scenario " << s.name << "..." << std::flush;
     const std::vector<Op> ops = make_stream(s.seed, n_requests, key_space, s.dist);
-    const ScenarioResult r = run_pumped(ops, key_space, shards, workers, s.burst);
+    const ScenarioResult r = run_pumped(ops, key_space, shards, s.burst);
     std::cerr << " done (" << r.wall_seconds * 1e3 << " ms)\n";
     if (std::string(s.name) == "zipf_hot") pump_throughput_rps = r.throughput_rps;
     table.add_row({Cell(s.name), Cell(static_cast<long long>(ops.size())),
@@ -396,7 +340,7 @@ int main() {
     {
       ScopedFaultPlan scoped(&plan);
       const ScenarioResult r =
-          run_pumped(ops, key_space, shards, workers, /*burst=*/512);
+          run_pumped(ops, key_space, shards, /*burst=*/512);
       report.note("serve_faulted_final_size",
                   static_cast<long long>(r.final_size));
       report.note("serve_faulted_p99_wall_us",
@@ -427,7 +371,7 @@ int main() {
     const double rate_rps =
         std::clamp(0.3 * pump_throughput_rps, 5000.0, 100000.0);
     report.note("serve_open_loop_offered_wall_rps", rate_rps);
-    const ScenarioResult r = run_open_loop(ops, shards, workers, rate_rps);
+    const ScenarioResult r = run_open_loop(ops, shards, rate_rps);
     report.note("serve_open_loop_p50_wall_us", static_cast<long long>(r.p50_us));
     report.note("serve_open_loop_p99_wall_us", static_cast<long long>(r.p99_us));
     report.note("serve_open_loop_throughput_wall_rps", r.throughput_rps);
@@ -443,34 +387,6 @@ int main() {
     report.note("slo_throughput_over_1k_rps_pass", tput_ok ? 1 : 0);
     FOLVEC_CHECK(p99_ok, "SLO: open-loop p99 must stay under 250ms at smoke");
     FOLVEC_CHECK(tput_ok, "SLO: open-loop throughput must exceed 1k req/s");
-  }
-
-  // ---- merge-strategy on serve-shaped explicit scatters -------------------
-  // Feeds bench/goldens/backend_scaling.json: kAuto (single-pass <= 160
-  // lanes, two-pass above) must not lose to either forced strategy on the
-  // serving layer's shard-local scatters by more than timing noise.
-  {
-    const std::vector<Op> ops =
-        make_stream(107, n_requests, key_space, KeyDist::kZipf);
-    WordVec digest_auto, digest_single, digest_two;
-    const double wall_auto = run_merge_strategy(ops, key_space, workers,
-                                                vm::MergeStrategy::kAuto,
-                                                &digest_auto);
-    const double wall_single = run_merge_strategy(ops, key_space, workers,
-                                                  vm::MergeStrategy::kSinglePass,
-                                                  &digest_single);
-    const double wall_two = run_merge_strategy(ops, key_space, workers,
-                                               vm::MergeStrategy::kTwoPass,
-                                               &digest_two);
-    FOLVEC_CHECK(digest_auto == digest_single && digest_auto == digest_two,
-                 "merge strategies must be bit-identical on the serve "
-                 "workload");
-    report.note("serve_scatter_auto_vs_single_wall_accel",
-                wall_single / wall_auto);
-    report.note("serve_scatter_auto_vs_two_wall_accel", wall_two / wall_auto);
-    std::cout << "merge strategy on serve scatters: auto " << wall_auto * 1e3
-              << "ms, forced single " << wall_single * 1e3
-              << "ms, forced two-pass " << wall_two * 1e3 << "ms\n";
   }
 
   return 0;

@@ -8,27 +8,24 @@
 
 #include "support/env.h"
 #include "vm/machine.h"
+#include "vm/simd_backend.h"
 
 namespace folvec::bench {
 
 namespace {
 
-/// The effective backend a default-config machine gets under the current
-/// environment (FOLVEC_BACKEND / FOLVEC_AUDIT), as a JSON object.
+/// The backend a default-config machine gets under the current environment
+/// (FOLVEC_BACKEND / FOLVEC_SIMD_LEVEL), as a JSON object: its name and its
+/// resolved SIMD level (null for the serial backend).
 JsonObject probe_backend() {
   const vm::VectorMachine probe;
-  const vm::MachineConfig& config = probe.config();
-  const bool requested_parallel =
-      config.backend == vm::BackendKind::kParallel;
-  const bool pinned = requested_parallel && probe.audit_enabled();
-  JsonObject out{
+  const bool simd = probe.config().backend == vm::BackendKind::kSimd;
+  return JsonObject{
       {"name", probe.backend_name()},
-      {"workers", probe.backend_workers()},
-      {"requested", requested_parallel ? "parallel" : "serial"},
-      {"pinned", pinned},
-      {"pin_reason", pinned ? JsonValue("audit") : JsonValue(nullptr)},
+      {"simd_level", simd ? JsonValue(vm::simd_level_name(
+                                probe.active_simd_level()))
+                          : JsonValue(nullptr)},
   };
-  return out;
 }
 
 JsonValue snapshot_to_json_value(const telemetry::MetricsSnapshot& snap) {

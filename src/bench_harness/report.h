@@ -11,8 +11,8 @@
 //   schema       the literal schema id
 //   bench        the bench name
 //   config       bench-declared parameters (config())
-//   backend      effective execution backend of a default-config machine:
-//                name, workers, requested, pinned, pin_reason
+//   backend      execution backend of a default-config machine: name
+//                ("serial" or "simd") and simd_level (null for serial)
 //   chime        modeled totals summed from the vm.op.* counters:
 //                instructions, elements
 //   wall         host seconds between report construction and write

@@ -222,9 +222,7 @@ Status multi_hash_open_insert_body(VectorMachine& m, std::span<Word> table,
   vm::PooledVec probed(pool, keys.size());
   // Kept half of the splits; unused.
   vm::PooledVec entered_scratch(pool, keys.size());
-  // Named intermediates for the batched subscript recalculation below:
-  // queued kernels hold pointers into these until the batch flushes, so the
-  // chain cannot be composed from value-returning temporaries.
+  // Pooled intermediates for the subscript recalculation below.
   vm::PooledVec probe_tmp(pool, keys.size());
   vm::PooledVec step_vec(pool, keys.size());
   m.copy_into(*key_vec, keys);
@@ -261,23 +259,18 @@ Status multi_hash_open_insert_body(VectorMachine& m, std::span<Word> table,
     std::swap(*key_vec, *next_key);
 
     // Subscript recalculation. The optimized variant separates keys that
-    // collided at the same slot by giving each its own stride. The whole
-    // chain is elementwise, so it queues under one OpBatch and crosses the
-    // pool boundary once at the gather below instead of once per op.
-    {
-      const vm::VectorMachine::OpBatch batch(m);
-      switch (variant) {
-        case ProbeVariant::kLinear:
-          m.add_scalar_into(*probe_tmp, hashed, 1);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
-        case ProbeVariant::kKeyDependent:
-          m.and_scalar_into(*probe_tmp, *key_vec, 31);
-          m.add_scalar_into(*step_vec, *probe_tmp, 1);
-          m.add_into(*probe_tmp, hashed, *step_vec);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
-      }
+    // collided at the same slot by giving each its own stride.
+    switch (variant) {
+      case ProbeVariant::kLinear:
+        m.add_scalar_into(*probe_tmp, hashed, 1);
+        m.mod_scalar_into(hashed, *probe_tmp, size);
+        break;
+      case ProbeVariant::kKeyDependent:
+        m.and_scalar_into(*probe_tmp, *key_vec, 31);
+        m.add_scalar_into(*step_vec, *probe_tmp, 1);
+        m.add_into(*probe_tmp, hashed, *step_vec);
+        m.mod_scalar_into(hashed, *probe_tmp, size);
+        break;
     }
 
     m.gather_into(*probed, table, hashed);
@@ -345,8 +338,7 @@ vm::Mask multi_hash_open_contains(VectorMachine& m,
   vm::PooledVec probed(pool, keys.size());
   vm::PooledVec hit_lanes(pool, keys.size());
   vm::PooledVec packed(pool, keys.size());
-  // Named intermediates for the batched subscript recalculation (see the
-  // insert loop): queued kernels hold pointers into these until the flush.
+  // Pooled intermediates for the subscript recalculation.
   vm::PooledVec probe_tmp(pool, keys.size());
   vm::PooledVec step_vec(pool, keys.size());
   m.copy_into(*key_vec, keys);
@@ -368,20 +360,17 @@ vm::Mask multi_hash_open_contains(VectorMachine& m,
     std::swap(*lane, *packed);
     m.compress_into(*packed, hashed, active);
     std::swap(hashed, *packed);
-    {
-      const vm::VectorMachine::OpBatch batch(m);
-      switch (variant) {
-        case ProbeVariant::kLinear:
-          m.add_scalar_into(*probe_tmp, hashed, 1);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
-        case ProbeVariant::kKeyDependent:
-          m.and_scalar_into(*probe_tmp, *key_vec, 31);
-          m.add_scalar_into(*step_vec, *probe_tmp, 1);
-          m.add_into(*probe_tmp, hashed, *step_vec);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
-      }
+    switch (variant) {
+      case ProbeVariant::kLinear:
+        m.add_scalar_into(*probe_tmp, hashed, 1);
+        m.mod_scalar_into(hashed, *probe_tmp, size);
+        break;
+      case ProbeVariant::kKeyDependent:
+        m.and_scalar_into(*probe_tmp, *key_vec, 31);
+        m.add_scalar_into(*step_vec, *probe_tmp, 1);
+        m.add_into(*probe_tmp, hashed, *step_vec);
+        m.mod_scalar_into(hashed, *probe_tmp, size);
+        break;
     }
   }
   // Lanes still probing after a full sweep of the table are reported

@@ -5,7 +5,7 @@
 // single vector op, so negative traffic — the dominant kind under skewed
 // key distributions — never pays the probe-chain cost. The design follows
 // the flat single-level case of Bloofi (arXiv:1501.01941): one filter per
-// shard, consulted by the router before the shard's lane group is touched.
+// shard, consulted by the router before the shard's machine is touched.
 //
 // Contract: FALSE POSITIVES ONLY. may_contain() must return true for every
 // key currently live in the backing map. The ShardedMap maintains that by

@@ -15,8 +15,8 @@
 //     here.
 //
 // Either way exactly one thread touches the ShardedMap at a time; the
-// parallelism that matters is inside the shard machines (their backend
-// worker pools), not across them.
+// lane parallelism that matters is inside the shard machines (their SIMD
+// kernels), not across them.
 //
 // Execution preserves sequential semantics: a batch is split into maximal
 // same-op runs in arrival order, so an upsert/lookup/erase interleaving

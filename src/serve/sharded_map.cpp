@@ -40,7 +40,7 @@ WordVec ShardedMap::route(std::span<const Word> keys) {
   if (shards_.size() == 1) return router_.splat(keys.size(), 0);
   // Fibonacci multiplicative spread, then the Euclidean mod picks the
   // shard — low key bits stop deciding placement, so clustered key ranges
-  // still fan out across lane groups.
+  // still fan out across shards.
   const WordVec mixed =
       router_.shr_scalar(router_.mul_scalar(keys, kGoldenGamma), 17);
   return router_.mod_scalar(mixed, static_cast<Word>(shards_.size()));

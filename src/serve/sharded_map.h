@@ -1,11 +1,10 @@
-// ShardedMap: N VectorHashMap shards, one backend lane-group each.
+// ShardedMap: N VectorHashMap shards, one VectorMachine each.
 //
 // The scaling unit of the serving layer. Keys route to shards by a
 // multiplicative spreading hash computed with vector ops on a dedicated
 // router machine; each shard owns its own VectorMachine built from the
-// shared MachineConfig — so a kParallel config gives every shard its own
-// worker pool (its lane group), and a kParallelSimd config runs every
-// shard's probe chains through the SIMD kernel tables. Batches partition
+// shared MachineConfig — so a kSimd config runs every shard's probe chains
+// through the SIMD kernel tables. Batches partition
 // stably by shard and run through the existing FOL decomposition via
 // VectorHashMap::{upsert,lookup,erase}_batch, which preserves the
 // sequential "last lane wins" contract: all occurrences of a key land in
@@ -17,11 +16,12 @@
 // from live_keys() after erases, so it can only over-approximate the live
 // set (false positives, never false negatives) — the differential tests
 // pin ShardedMap bit-identical to a single reference VectorHashMap at
-// every backend / worker-count / shard-count combination.
+// every backend / shard-count combination.
 //
 // Not thread-safe: like VectorMachine itself, a ShardedMap belongs to one
-// issuing thread (the BatchServer's dispatch loop); parallelism comes from
-// the shards' backend pools, not from concurrent callers.
+// issuing thread (the BatchServer's dispatch loop). The shards run one
+// after another on that thread; lane parallelism comes from each shard
+// machine's vector kernels, not from concurrent callers.
 #pragma once
 
 #include <cstddef>

@@ -31,16 +31,9 @@ const char* fault_site_name(FaultSite site) {
       return "els";
     case FaultSite::kProbeSaturation:
       return "probe";
-    case FaultSite::kWorkerFault:
-      return "worker";
   }
   return "unknown";
 }
-
-InjectedFault::InjectedFault(FaultSite fault_site)
-    : std::runtime_error(std::string("injected fault: ") +
-                         fault_site_name(fault_site)),
-      site(fault_site) {}
 
 FaultPlan::FaultPlan(std::uint64_t seed, std::string_view spec)
     : seed_(seed), spec_(spec) {
@@ -74,8 +67,7 @@ FaultPlan::FaultPlan(std::uint64_t seed, std::string_view spec)
       }
     }
     FOLVEC_REQUIRE(site >= 0,
-                   "unknown fault site (expected pool_alloc, els, probe or "
-                   "worker)");
+                   "unknown fault site (expected pool_alloc, els or probe)");
 
     SiteRule& rule = rules_[static_cast<std::size_t>(site)];
     char* parse_end = nullptr;

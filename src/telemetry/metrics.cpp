@@ -12,12 +12,10 @@ namespace {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 
-/// Namespaces that describe the host-execution machinery (thread pool,
+/// Namespaces that describe the host-execution machinery (buffer pool,
 /// backend identity, fault injection) rather than the modeled computation;
-/// excluded from the deterministic view because they legitimately vary with
-/// worker count ("fault.": the worker-fault site is only checked by the
-/// parallel backend, so serial and parallel runs under one plan see
-/// different check counts).
+/// excluded from the deterministic view, which covers modeled quantities
+/// only.
 bool is_host_namespace(std::string_view name) {
   return name.rfind("pool.", 0) == 0 || name.rfind("backend.", 0) == 0 ||
          name.rfind("fault.", 0) == 0;

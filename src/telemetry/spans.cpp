@@ -4,6 +4,7 @@
 #include <fstream>
 #include <functional>
 #include <ostream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -73,9 +74,8 @@ SpanTracer::Track& SpanTracer::track() {
     tracks_.push_back(std::make_unique<Track>());
     mine = tracks_.back().get();
     mine->tid = tid;
-    // Small eager reserve: a long bench run registers a track per pool
-    // worker thread (hundreds across many machines), so a large reserve
-    // here would dominate the trace's memory; growth is geometric anyway.
+    // Small eager reserve: most tracks (client and dispatcher threads) hold
+    // few events, and growth is geometric anyway.
     mine->events.reserve(capacity_ < 256 ? capacity_ : 256);
   }
   tls_serial = serial_;
@@ -126,50 +126,6 @@ void SpanTracer::op(const char* static_name, std::size_t elements,
   e.dur_us = to_us(end) - e.ts_us;
   e.elements = static_cast<std::uint64_t>(elements);
   push(track(), std::move(e));
-}
-
-void SpanTracer::set_thread_name(std::string_view name) {
-  Track& t = track();
-  if (t.name.empty()) t.name = std::string(name);
-}
-
-std::uint64_t SpanTracer::next_flow_id() {
-  return flow_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-void SpanTracer::flow_begin(const char* static_name, std::uint64_t flow_id) {
-  Event e;
-  e.kind = EventKind::kFlowStart;
-  e.static_name = static_name;
-  e.ts_us = to_us(Clock::now());
-  e.flow_id = flow_id;
-  push(track(), std::move(e));
-}
-
-void SpanTracer::chunk(const char* static_name, std::size_t lo, std::size_t hi,
-                       std::uint64_t flow_id, Clock::time_point start,
-                       Clock::time_point end) {
-  Track& t = track();
-  const double ts = to_us(start);
-  if (flow_id != 0) {
-    // The flow-finish binds to the enclosing slice ("bp":"e"), which is the
-    // chunk slice pushed right after it — same thread, same timestamp.
-    Event f;
-    f.kind = EventKind::kFlowEnd;
-    f.static_name = static_name;
-    f.ts_us = ts;
-    f.flow_id = flow_id;
-    push(t, std::move(f));
-  }
-  Event e;
-  e.kind = EventKind::kChunk;
-  e.static_name = static_name;
-  e.ts_us = ts;
-  e.dur_us = to_us(end) - ts;
-  e.lo = static_cast<std::uint64_t>(lo);
-  e.elements = static_cast<std::uint64_t>(hi - lo);
-  e.flow_id = flow_id;
-  push(t, std::move(e));
 }
 
 void SpanTracer::counter(const char* static_name, double value) {
@@ -231,24 +187,6 @@ void SpanTracer::append_event_json(std::ostream& os, const Event& e,
          << ", \"dur\": " << JsonValue(e.dur_us).dump()
          << ", \"args\": {\"elements\": " << e.elements << "}";
       break;
-    case EventKind::kChunk:
-      os << ", \"cat\": \"chunk\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << tid
-         << ", \"ts\": " << JsonValue(e.ts_us).dump()
-         << ", \"dur\": " << JsonValue(e.dur_us).dump()
-         << ", \"args\": {\"lo\": " << e.lo
-         << ", \"hi\": " << (e.lo + e.elements) << ", \"lanes\": " << e.elements
-         << ", \"flow\": " << e.flow_id << "}";
-      break;
-    case EventKind::kFlowStart:
-      os << ", \"cat\": \"flow\", \"ph\": \"s\", \"id\": " << e.flow_id
-         << ", \"pid\": 1, \"tid\": " << tid
-         << ", \"ts\": " << JsonValue(e.ts_us).dump() << ", \"args\": {}";
-      break;
-    case EventKind::kFlowEnd:
-      os << ", \"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", \"id\": "
-         << e.flow_id << ", \"pid\": 1, \"tid\": " << tid
-         << ", \"ts\": " << JsonValue(e.ts_us).dump() << ", \"args\": {}";
-      break;
     case EventKind::kCounter:
       os << ", \"cat\": \"counter\", \"ph\": \"C\", \"pid\": 1, \"tid\": "
          << tid << ", \"ts\": " << JsonValue(e.ts_us).dump()
@@ -267,9 +205,9 @@ void SpanTracer::write_chrome_trace(std::ostream& os) const {
   std::size_t sort_index = 0;
   for (const std::unique_ptr<Track>& t : tracks_) {
     dropped_total += t->dropped;
-    // Thread metadata first: the name ("main" / "worker-<i>", or a tid
-    // placeholder for threads that never named themselves) and a sort
-    // index pinning registration order in the viewer.
+    // Thread metadata first: the name ("main", or a tid placeholder for
+    // every other thread) and a sort index pinning registration order in
+    // the viewer.
     std::string label =
         t->name.empty() ? "thread-" + std::to_string(t->tid) : t->name;
     if (!first) os << ",\n";

@@ -18,26 +18,21 @@
 // written only by its owning thread, so concurrent recording needs no
 // per-event locking. Tracks export with the thread's real OS tid plus a
 // Chrome "thread_name" metadata event — "main" for the constructing
-// thread, "worker-<i>" for pool workers (named via set_thread_name).
-// Deterministic spans and op events are still issued from the machine's
-// issuing thread; worker activity appears as per-chunk "chunk" slices
-// linked to the issuing batch flush by flow events, and as counter tracks.
+// thread, "thread-<tid>" for any other (a serving dispatcher, a client).
+// Deterministic spans and op events are issued from the machine's issuing
+// thread; counters form their own counter tracks.
 //
 // Export (write_chrome_trace / size / dropped) takes a registry lock but
 // reads the per-thread buffers unlocked: callers must ensure recording
-// threads are quiescent first. The thread pool's job barrier provides the
-// needed happens-before — every worker write precedes run_job's return —
-// so exporting between jobs or after pool shutdown is race-free.
+// threads are quiescent first (joined, or synchronized with the exporter).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace folvec::telemetry {
@@ -71,25 +66,6 @@ class SpanTracer {
   void op(const char* static_name, std::size_t elements, Clock::time_point start,
           Clock::time_point end);
 
-  /// Names the calling thread's track ("worker-3"); first call wins, later
-  /// calls are no-ops. The constructing thread's track is named "main".
-  void set_thread_name(std::string_view name);
-
-  /// Allocates a fresh nonzero flow id (process-order, not deterministic).
-  std::uint64_t next_flow_id();
-
-  /// Emits a flow-start ("ph":"s") event at now on the calling thread.
-  /// Chrome binds it to the enclosing slice, drawing an arrow to every
-  /// chunk() recorded with the same id.
-  void flow_begin(const char* static_name, std::uint64_t flow_id);
-
-  /// Records one per-worker chunk execution slice (cat "chunk", lanes
-  /// [lo, hi)) plus, when `flow_id` is nonzero, the bound flow-finish
-  /// ("ph":"f") connecting it back to the issuing flow_begin.
-  void chunk(const char* static_name, std::size_t lo, std::size_t hi,
-             std::uint64_t flow_id, Clock::time_point start,
-             Clock::time_point end);
-
   /// Emits a Chrome counter ("ph":"C") sample at now. Counters sharing a
   /// `static_name` form one counter track regardless of emitting thread.
   void counter(const char* static_name, double value);
@@ -118,9 +94,6 @@ class SpanTracer {
   enum class EventKind : std::uint8_t {
     kSpan,
     kOp,
-    kChunk,
-    kFlowStart,
-    kFlowEnd,
     kCounter,
   };
   struct Event {
@@ -129,11 +102,9 @@ class SpanTracer {
     std::string name;                   // kSpan only
     double ts_us = 0.0;
     double dur_us = 0.0;                    // "X" kinds only
-    std::uint64_t elements = 0;             // kOp lanes; kChunk hi - lo
+    std::uint64_t elements = 0;             // kOp lanes
     std::uint64_t chime_instructions = 0;   // kSpan only
     std::uint64_t chime_elements = 0;       // kSpan only
-    std::uint64_t lo = 0;                   // kChunk first lane
-    std::uint64_t flow_id = 0;              // kChunk / kFlowStart / kFlowEnd
     double value = 0.0;                     // kCounter only
   };
   struct Open {
@@ -144,7 +115,7 @@ class SpanTracer {
   };
   struct Track {
     std::uint64_t tid = 0;    // real OS tid (or a hash fallback)
-    std::string name;         // "" until set_thread_name / "main"
+    std::string name;         // "main" for the constructing thread, else ""
     std::vector<Event> events;
     std::vector<Open> stack;
     std::size_t dropped = 0;
@@ -163,7 +134,6 @@ class SpanTracer {
   Clock::time_point epoch_;
   std::size_t capacity_;
   std::uint64_t serial_;  // process-unique, keys the thread-local cache
-  std::atomic<std::uint64_t> flow_ids_{0};
   mutable std::mutex registry_mu_;
   std::vector<std::unique_ptr<Track>> tracks_;  // vector guarded by registry_mu_
 };

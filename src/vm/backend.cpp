@@ -27,8 +27,6 @@ void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
   }
 }
 
-void SerialBackend::for_lanes(std::size_t n, RangeFn fn) { fn(0, n); }
-
 Word SerialBackend::reduce_sum(std::span<const Word> v) {
   Word total = 0;
   for (Word x : v) total += x;

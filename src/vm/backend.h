@@ -1,53 +1,32 @@
 // Pluggable execution backends for VectorMachine.
 //
 // VectorMachine decides *what* each primitive computes (semantics, cost
-// accounting, audit hooks, bounds checks); a Backend decides *how* the lane
-// loop executes. SerialBackend is the reference implementation — the original
-// per-op scalar loops, lane 0 to n-1 — and every other backend must be
-// bit-identical to it for every primitive, including the machine-dependent
-// scatter survivor under every ScatterOrder. That contract is what lets the
-// differential fuzz (tests/backend_diff_test.cpp) pin ParallelBackend to
-// SerialBackend at any worker count.
+// accounting, audit hooks, bounds checks); a Backend decides *how* the
+// structured primitives execute. Both backends run on the issuing thread.
+// SerialBackend is the reference implementation — the original per-op scalar
+// loops, lane 0 to n-1 — and SimdBackend must be bit-identical to it for
+// every primitive, including the machine-dependent scatter survivor under
+// every ScatterOrder. The differential fuzz (tests/backend_diff_test.cpp)
+// pins that contract per SIMD level.
 //
 // The interface is deliberately narrow, VCODE-style (Chatterjee/Blelloch):
-// one generic contiguous-range kernel for all elementwise work, explicit
-// entry points only where a parallel implementation needs structure the
-// kernel cannot express (reductions, compress, bounds scans, scatter).
+// elementwise lane loops run inside VectorMachine (through the SIMD kernel
+// table when one is attached); the backend supplies only the primitives with
+// cross-lane structure (reductions, compress, bounds scans, scatter).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 
 #include "vm/machine.h"
 
 namespace folvec::vm {
 
-/// Non-owning reference to a `void(std::size_t lo, std::size_t hi)` kernel.
-/// Backends invoke it synchronously (possibly from worker threads) before
-/// returning, so the referenced callable only needs to outlive the call.
-class RangeFn {
- public:
-  template <typename F,
-            std::enable_if_t<!std::is_same_v<std::decay_t<F>, RangeFn>, int> =
-                0>
-  RangeFn(const F& f)  // NOLINT(google-explicit-constructor)
-      : ctx_(&f), call_([](const void* ctx, std::size_t lo, std::size_t hi) {
-          (*static_cast<const F*>(ctx))(lo, hi);
-        }) {}
-
-  void operator()(std::size_t lo, std::size_t hi) const { call_(ctx_, lo, hi); }
-
- private:
-  const void* ctx_;
-  void (*call_)(const void*, std::size_t, std::size_t);
-};
-
 /// The order lanes of one scatter instruction are applied in. kForward and
 /// kReverse avoid materializing an order vector; kExplicit carries one
 /// (VectorMachine derives it from shuffle_seed for ScatterOrder::kShuffled,
-/// independently of the backend and its worker count).
+/// independently of the backend).
 enum class ScatterTraversal : std::uint8_t { kForward, kReverse, kExplicit };
 
 class Backend {
@@ -58,17 +37,7 @@ class Backend {
 
   virtual const char* name() const = 0;
 
-  /// Worker lanes the backend may chunk an instruction across (1 = serial).
-  virtual std::size_t workers() const = 0;
-
-  /// Runs `fn` over [0, n), possibly split into disjoint contiguous chunks
-  /// executed concurrently. `fn` must be safe for disjoint ranges. Any
-  /// exception a chunk throws is rethrown here; when several chunks throw,
-  /// the lowest chunk's exception wins (matching serial first-lane-throws).
-  virtual void for_lanes(std::size_t n, RangeFn fn) = 0;
-
-  /// Reductions. Chunk partials combine in ascending chunk order, so results
-  /// equal the serial left fold for the associative folds used here.
+  /// Reductions; results equal the serial left fold.
   virtual Word reduce_sum(std::span<const Word> v) = 0;
   virtual Word reduce_min(std::span<const Word> v) = 0;
   virtual Word reduce_max(std::span<const Word> v) = 0;
@@ -117,8 +86,7 @@ class Backend {
   /// Applies table[idx[lane]] = vals[lane] for every (mask-active) lane, as
   /// if lanes were visited one at a time in `traversal` order — the last
   /// visit to an address wins. All indices of active lanes are already
-  /// bounds-checked. Must be bit-identical to apply_scatter_reference for
-  /// any worker count.
+  /// bounds-checked. Must be bit-identical to apply_scatter_reference.
   virtual void scatter(std::span<Word> table, std::span<const Word> idx,
                        std::span<const Word> vals, const std::uint8_t* mask,
                        ScatterTraversal traversal,
@@ -136,9 +104,6 @@ void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
 class SerialBackend final : public Backend {
  public:
   const char* name() const override { return "serial"; }
-  std::size_t workers() const override { return 1; }
-
-  void for_lanes(std::size_t n, RangeFn fn) override;
   Word reduce_sum(std::span<const Word> v) override;
   Word reduce_min(std::span<const Word> v) override;
   Word reduce_max(std::span<const Word> v) override;

@@ -17,8 +17,8 @@
 // The pool is owned by one VectorMachine and, like the machine itself, is
 // confined to the machine's issuing thread — no locking. Stats are exported
 // by the machine under the host-only "pool." metrics namespace (excluded
-// from MetricsSnapshot::deterministic(), like the parallel scatter-merge
-// stats), so hit rates never enter cross-backend determinism contracts.
+// from MetricsSnapshot::deterministic()), so hit rates never enter
+// cross-backend determinism contracts.
 #pragma once
 
 #include <array>

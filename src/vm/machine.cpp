@@ -1,8 +1,6 @@
 #include "vm/machine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <numeric>
 #include <string>
 #include <unordered_map>
@@ -14,51 +12,10 @@
 #include "vm/backend.h"
 #include "vm/buffer_pool.h"
 #include "vm/checker.h"
-#include "vm/parallel_backend.h"
 #include "vm/simd_backend.h"
 #include "vm/simd_kernels.h"
 
 namespace folvec::vm {
-
-namespace {
-
-/// Whether this machine's config asked for a pooled backend but audit mode
-/// pinned execution to the single-threaded path (kParallel runs as kSerial,
-/// kParallelSimd as kSimd).
-bool audit_pinned(const MachineConfig& config, bool audited) {
-  return audited && (config.backend == BackendKind::kParallel ||
-                     config.backend == BackendKind::kParallelSimd);
-}
-
-/// One-time stderr notice that the parallel request was pinned; per-machine
-/// repetition would drown test output, but silence would leave
-/// FOLVEC_BACKEND=parallel users benchmarking the wrong backend unawares.
-void warn_audit_pin_once() {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true, std::memory_order_relaxed)) {
-    std::fprintf(stderr,
-                 "folvec: audit mode pins execution to the single-threaded "
-                 "path; the requested parallel workers are ignored "
-                 "(set FOLVEC_AUDIT=0 to benchmark parallel execution)\n");
-  }
-}
-
-/// Telemetry spelling of a BackendKind request.
-const char* backend_kind_name(BackendKind k) {
-  switch (k) {
-    case BackendKind::kSerial:
-      return "serial";
-    case BackendKind::kParallel:
-      return "parallel";
-    case BackendKind::kSimd:
-      return "simd";
-    case BackendKind::kParallelSimd:
-      return "parallel+simd";
-  }
-  return "serial";
-}
-
-}  // namespace
 
 bool MachineConfig::audit_default() {
   if (const auto env = env_value("FOLVEC_AUDIT")) return env_flag(*env);
@@ -90,21 +47,15 @@ bool MachineConfig::audit_elide_default() {
 }
 
 BackendKind MachineConfig::backend_default() {
-  if (const auto env = env_value("FOLVEC_BACKEND")) {
-    const std::string v = env_normalize(*env);
-    if (v == "serial") return BackendKind::kSerial;
-    if (v == "parallel") return BackendKind::kParallel;
-    if (v == "simd") return BackendKind::kSimd;
-    if (v == "parallel+simd" || v == "simd+parallel") {
-      return BackendKind::kParallelSimd;
-    }
-    return env_flag(v) ? BackendKind::kParallel : BackendKind::kSerial;
-  }
-#ifdef FOLVEC_PARALLEL_DEFAULT
-  return BackendKind::kParallel;
-#else
-  return BackendKind::kSerial;
-#endif
+  const auto env = env_value("FOLVEC_BACKEND");
+  if (!env) return BackendKind::kSerial;
+  const std::string v = env_normalize(*env);
+  if (v == "serial") return BackendKind::kSerial;
+  if (v == "simd") return BackendKind::kSimd;
+  // Strict: a removed or misspelled backend name must not silently run a
+  // different backend than the one the caller meant to measure.
+  throw PreconditionError("FOLVEC_BACKEND='" + *env +
+                          "' is not a backend (expected serial or simd)");
 }
 
 SimdLevel MachineConfig::simd_level_default() {
@@ -125,39 +76,12 @@ VectorMachine::VectorMachine(const MachineConfig& config)
     analyzer_ = std::make_unique<analysis::Analyzer>();
     pool_->set_analyzer(analyzer_.get());
   }
-  // Audit pins execution to the single-threaded path: ScatterCheck's
-  // per-lane bookkeeping is single-threaded, and an audited instruction
-  // stream must be the one whose semantics the auditor reasons about. The
-  // SIMD kernels run on the issuing thread and are bit-identical to serial,
-  // so kSimd itself stays auditable — only the pool is pinned away
-  // (kParallel -> kSerial, kParallelSimd -> kSimd).
-  BackendKind kind = config_.backend;
-  if (checker_ != nullptr) {
-    if (kind == BackendKind::kParallel) kind = BackendKind::kSerial;
-    if (kind == BackendKind::kParallelSimd) kind = BackendKind::kSimd;
-  }
-  if (kind == BackendKind::kSimd || kind == BackendKind::kParallelSimd) {
+  if (config_.backend == BackendKind::kSimd) {
     simd_ = &simd_kernels_for(simd_resolve_level(config_.simd_level));
+    backend_ = std::make_unique<SimdBackend>(*simd_);
+  } else {
+    backend_ = std::make_unique<SerialBackend>();
   }
-  switch (kind) {
-    case BackendKind::kParallel:
-      backend_ = std::make_unique<ParallelBackend>(config_.backend_threads,
-                                                   config_.backend_grain,
-                                                   config_.merge_strategy);
-      break;
-    case BackendKind::kParallelSimd:
-      backend_ = std::make_unique<ParallelBackend>(
-          config_.backend_threads, config_.backend_grain,
-          config_.merge_strategy, simd_);
-      break;
-    case BackendKind::kSimd:
-      backend_ = std::make_unique<SimdBackend>(*simd_);
-      break;
-    case BackendKind::kSerial:
-      backend_ = std::make_unique<SerialBackend>();
-      break;
-  }
-  if (audit_pinned(config_, checker_ != nullptr)) warn_audit_pin_once();
 }
 
 VectorMachine::~VectorMachine() {
@@ -224,27 +148,16 @@ void VectorMachine::flush_telemetry() const {
     if (ps.fault_drops != 0) r->add("pool.buffer.fault_drops", ps.fault_drops);
   }
   // Backend identity lives in the excluded-from-determinism "backend."
-  // namespace: it legitimately differs between serial and parallel runs.
+  // namespace: it legitimately differs between serial and SIMD runs.
   r->label("backend.name", backend_name());
-  r->label("backend.requested", backend_kind_name(config_.backend));
-  r->gauge_max("backend.workers",
-               static_cast<std::int64_t>(backend_workers()));
   if (simd_ != nullptr) {
     r->label("backend.simd_level", simd_->name);
     r->add(std::string("backend.simd.dispatch.") + simd_->name,
            simd_dispatches_);
   }
-  if (audit_pinned(config_, checker_ != nullptr)) {
-    r->add("backend.pinned", 1);
-    r->label("backend.pin_reason", "audit");
-  }
 }
 
 const char* VectorMachine::backend_name() const { return backend_->name(); }
-
-std::size_t VectorMachine::backend_workers() const {
-  return backend_->workers();
-}
 
 SimdLevel VectorMachine::active_simd_level() const {
   return simd_ != nullptr ? simd_->level : SimdLevel::kScalar;
@@ -285,81 +198,6 @@ bool VectorMachine::elide_allowed() const {
          !config_.inject_els_violation && faults() == nullptr;
 }
 
-// ---- multi-op batched dispatch ---------------------------------------------
-
-void VectorMachine::end_batch() {
-  FOLVEC_CHECK(batch_depth_ > 0, "unbalanced OpBatch close");
-  if (--batch_depth_ == 0) flush_batch();
-}
-
-void VectorMachine::flush_batch() {
-  if (batch_.empty()) return;
-  // Detach the queue first so the flush can never re-enter itself.
-  const std::vector<BatchEntry> entries = std::move(batch_);
-  batch_.clear();
-  const std::size_t n = batch_lanes_;
-  batch_lanes_ = 0;
-  telemetry::SpanTracer* t = telemetry::tracer();
-  std::uint64_t flow = 0;
-  if (t != nullptr) {
-    // Counter track: queued ops in flight while the flush executes.
-    t->counter("vm.batch.occupancy", static_cast<double>(entries.size()));
-    flow = t->next_flow_id();
-  }
-  const auto start = std::chrono::steady_clock::now();
-  // The flow start binds to the op slices emitted below over [start, end]
-  // on this (issuing) thread; each worker chunk records the bound finish,
-  // drawing flush -> chunk arrows in the trace viewer.
-  if (t != nullptr) t->flow_begin("vm.batch.flush", flow);
-  // ONE pool crossing for the whole queued round: each worker chunk runs
-  // every kernel in issue order over its own lanes, which preserves the
-  // serial per-lane dataflow because queued kernels are lane-aligned.
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
-    if (t != nullptr) {
-      const auto chunk_start = std::chrono::steady_clock::now();
-      for (const BatchEntry& e : entries) e.kernel(lo, hi);
-      t->chunk("vm.batch.chunk", lo, hi, flow, chunk_start,
-               std::chrono::steady_clock::now());
-    } else {
-      for (const BatchEntry& e : entries) e.kernel(lo, hi);
-    }
-  });
-  const auto end = std::chrono::steady_clock::now();
-  // Chimes were issued at enqueue; the flush's measured wall time is split
-  // evenly across the queued op classes so per-class wall totals stay
-  // populated (the split is host bookkeeping, not modeled cost).
-  const double share = std::chrono::duration<double>(end - start).count() /
-                       static_cast<double>(entries.size());
-  for (const BatchEntry& e : entries) {
-    cost_.record_wall(e.op_class, share);
-    telemetry::profile_op(op_class_name(e.op_class), n, share);
-  }
-  if (t != nullptr) {
-    for (const BatchEntry& e : entries) {
-      t->op(op_class_name(e.op_class), n, start, end);
-    }
-    t->counter("vm.batch.occupancy", 0.0);
-  }
-  if (telemetry::MetricsRegistry* r = telemetry::metrics()) {
-    r->add("pool.dispatch.batched", 1);
-    r->add("pool.dispatch.batched_ops", entries.size());
-  }
-}
-
-void VectorMachine::run_lanes(
-    OpClass c, std::size_t n,
-    std::function<void(std::size_t, std::size_t)> kernel, bool batchable) {
-  if (batchable && batching()) {
-    if (!batch_.empty() && batch_lanes_ != n) flush_batch();
-    batch_lanes_ = n;
-    batch_.push_back(BatchEntry{std::move(kernel), c});
-    return;
-  }
-  if (!batchable) flush_batch();
-  const OpTimer timer(cost_, c, n);
-  backend_->for_lanes(n, kernel);
-}
-
 // ---- vector generation -----------------------------------------------------
 
 WordVec VectorMachine::iota(std::size_t n, Word start, Word step) {
@@ -374,16 +212,15 @@ void VectorMachine::iota_into(WordVec& out, std::size_t n, Word start,
   out.resize(n);
   Word* o = out.data();
   const auto k = simd_pick(&SimdKernels::iota);
-  run_lanes(OpClass::kVectorArith, n,
-            [o, start, step, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, start, step, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = start + step * static_cast<Word>(i);
-              }
-            });
+  run_lanes(OpClass::kVectorArith, n, [&] {
+    if (k != nullptr) {
+      k(o, start, step, 0, n);
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      o[i] = start + step * static_cast<Word>(i);
+    }
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_gen(analysis::Opcode::kIota, out, start, step);
   }
@@ -393,10 +230,7 @@ WordVec VectorMachine::splat(std::size_t n, Word value) {
   issue(OpClass::kVectorArith, n);
   WordVec out(n);
   Word* o = out.data();
-  run_lanes(OpClass::kVectorArith, n,
-            [o, value](std::size_t lo, std::size_t hi) {
-              std::fill(o + lo, o + hi, value);
-            });
+  run_lanes(OpClass::kVectorArith, n, [&] { std::fill(o, o + n, value); });
   if (analyzer_ != nullptr) {
     analyzer_->rec_gen(analysis::Opcode::kSplat, out, value, 0);
   }
@@ -414,10 +248,7 @@ void VectorMachine::copy_into(WordVec& out, std::span<const Word> v) {
   out.resize(v.size());
   Word* o = out.data();
   run_lanes(OpClass::kVectorLoad, v.size(),
-            [o, v](std::size_t lo, std::size_t hi) {
-              std::copy(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                        v.begin() + static_cast<std::ptrdiff_t>(hi), o + lo);
-            });
+            [&] { std::copy(v.begin(), v.end(), o); });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kCopy, out, v);
   }
@@ -430,17 +261,9 @@ WordVec VectorMachine::reverse(std::span<const Word> v) {
 }
 
 void VectorMachine::reverse_into(WordVec& out, std::span<const Word> v) {
-  // Cross-lane read (lane i reads v[n-1-i]): never batched, and any queued
-  // round must land before it runs.
-  flush_batch();
   const OpTimer timer(cost_, OpClass::kVectorLoad, v.size());
   issue(OpClass::kVectorLoad, v.size());
-  const std::size_t n = v.size();
-  out.resize(n);
-  Word* o = out.data();
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) o[i] = v[n - 1 - i];
-  });
+  out.assign(v.rbegin(), v.rend());
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kReverse, out, v);
   }
@@ -455,14 +278,13 @@ void VectorMachine::zip_into(WordVec& out, std::span<const Word> a,
   issue(OpClass::kVectorArith, a.size());
   out.resize(a.size());
   Word* o = out.data();
-  run_lanes(OpClass::kVectorArith, a.size(),
-            [o, a, b, f, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), b.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = f(a[i], b[i]);
-            });
+  run_lanes(OpClass::kVectorArith, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, a.data(), b.data(), 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) o[i] = f(a[i], b[i]);
+  });
 }
 
 template <typename F>
@@ -475,27 +297,24 @@ WordVec VectorMachine::zip(std::span<const Word> a, std::span<const Word> b,
 
 template <typename F>
 void VectorMachine::map_into(WordVec& out, std::span<const Word> a, F f,
-                             bool batchable, SimdMapFn k, Word s) {
+                             SimdMapFn k, Word s) {
   issue(OpClass::kVectorArith, a.size());
   out.resize(a.size());
   Word* o = out.data();
-  run_lanes(
-      OpClass::kVectorArith, a.size(),
-      [o, a, f, k, s](std::size_t lo, std::size_t hi) {
-        if (k != nullptr) {
-          k(o, a.data(), s, lo, hi);
-          return;
-        }
-        for (std::size_t i = lo; i < hi; ++i) o[i] = f(a[i]);
-      },
-      batchable);
+  run_lanes(OpClass::kVectorArith, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, a.data(), s, 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) o[i] = f(a[i]);
+  });
 }
 
 template <typename F>
-WordVec VectorMachine::map(std::span<const Word> a, F f, bool batchable,
-                           SimdMapFn k, Word s) {
+WordVec VectorMachine::map(std::span<const Word> a, F f, SimdMapFn k,
+                           Word s) {
   WordVec out;
-  map_into(out, a, f, batchable, k, s);
+  map_into(out, a, f, k, s);
   return out;
 }
 
@@ -519,7 +338,7 @@ void VectorMachine::add_into(WordVec& out, std::span<const Word> a,
 
 void VectorMachine::add_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x + s; }, /*batchable=*/true,
+  map_into(out, a, [s](Word x) { return x + s; },
            simd_pick(&SimdKernels::add_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAddScalar, out, a, s);
@@ -545,7 +364,7 @@ WordVec VectorMachine::mul(std::span<const Word> a, std::span<const Word> b) {
 }
 
 WordVec VectorMachine::add_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x + s; }, /*batchable=*/true,
+  WordVec out = map(a, [s](Word x) { return x + s; },
                     simd_pick(&SimdKernels::add_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAddScalar, out, a, s);
@@ -554,7 +373,7 @@ WordVec VectorMachine::add_scalar(std::span<const Word> a, Word s) {
 }
 
 WordVec VectorMachine::mul_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x * s; }, /*batchable=*/true,
+  WordVec out = map(a, [s](Word x) { return x * s; },
                     simd_pick(&SimdKernels::mul_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kMulScalar, out, a, s);
@@ -564,7 +383,7 @@ WordVec VectorMachine::mul_scalar(std::span<const Word> a, Word s) {
 
 void VectorMachine::mul_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x * s; }, /*batchable=*/true,
+  map_into(out, a, [s](Word x) { return x * s; },
            simd_pick(&SimdKernels::mul_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kMulScalar, out, a, s);
@@ -584,19 +403,18 @@ void VectorMachine::div_scalar_into(WordVec& out, std::span<const Word> a,
   out.resize(a.size());
   Word* o = out.data();
   const auto k = simd_pick(&SimdKernels::div_s);
-  run_lanes(OpClass::kVectorDiv, a.size(),
-            [o, a, s, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), s, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                // Floor division (operands may be negative).
-                Word q = a[i] / s;
-                if ((a[i] % s) != 0 && (a[i] < 0)) --q;
-                o[i] = q;
-              }
-            });
+  run_lanes(OpClass::kVectorDiv, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, a.data(), s, 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      // Floor division (operands may be negative).
+      Word q = a[i] / s;
+      if ((a[i] % s) != 0 && (a[i] < 0)) --q;
+      o[i] = q;
+    }
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kDivScalar, out, a, s);
   }
@@ -615,18 +433,17 @@ void VectorMachine::mod_scalar_into(WordVec& out, std::span<const Word> a,
   out.resize(a.size());
   Word* o = out.data();
   const auto k = simd_pick(&SimdKernels::mod_s);
-  run_lanes(OpClass::kVectorDiv, a.size(),
-            [o, a, s, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), s, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                Word r = a[i] % s;
-                if (r < 0) r += s;
-                o[i] = r;
-              }
-            });
+  run_lanes(OpClass::kVectorDiv, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, a.data(), s, 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      Word r = a[i] % s;
+      if (r < 0) r += s;
+      o[i] = r;
+    }
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kModScalar, out, a, s);
   }
@@ -640,7 +457,7 @@ WordVec VectorMachine::and_scalar(std::span<const Word> a, Word s) {
 
 void VectorMachine::and_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x & s; }, /*batchable=*/true,
+  map_into(out, a, [s](Word x) { return x & s; },
            simd_pick(&SimdKernels::and_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAndScalar, out, a, s);
@@ -648,7 +465,7 @@ void VectorMachine::and_scalar_into(WordVec& out, std::span<const Word> a,
 }
 
 WordVec VectorMachine::or_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x | s; }, /*batchable=*/true,
+  WordVec out = map(a, [s](Word x) { return x | s; },
                     simd_pick(&SimdKernels::or_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kOrScalar, out, a, s);
@@ -658,15 +475,10 @@ WordVec VectorMachine::or_scalar(std::span<const Word> a, Word s) {
 
 WordVec VectorMachine::shl_scalar(std::span<const Word> a, int k) {
   FOLVEC_REQUIRE(k >= 0 && k < 64, "shift amount out of range");
-  // The per-lane precondition throws from inside the kernel; deferring it
-  // to a batch flush would break exception parity, so never batch it.
-  WordVec out = map(
-      a,
-      [k](Word x) {
-        FOLVEC_REQUIRE(x >= 0, "shl_scalar needs non-negative elements");
-        return static_cast<Word>(static_cast<std::uint64_t>(x) << k);
-      },
-      /*batchable=*/false);
+  WordVec out = map(a, [k](Word x) {
+    FOLVEC_REQUIRE(x >= 0, "shl_scalar needs non-negative elements");
+    return static_cast<Word>(static_cast<std::uint64_t>(x) << k);
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kShlScalar, out, a, k);
   }
@@ -682,7 +494,7 @@ WordVec VectorMachine::shr_scalar(std::span<const Word> a, int k) {
 void VectorMachine::shr_scalar_into(WordVec& out, std::span<const Word> a,
                                     int k) {
   FOLVEC_REQUIRE(k >= 0 && k < 64, "shift amount out of range");
-  map_into(out, a, [k](Word x) { return x >> k; }, /*batchable=*/true,
+  map_into(out, a, [k](Word x) { return x >> k; },
            simd_pick(&SimdKernels::shr_s), static_cast<Word>(k));
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kShrScalar, out, a, k);
@@ -690,7 +502,7 @@ void VectorMachine::shr_scalar_into(WordVec& out, std::span<const Word> a,
 }
 
 WordVec VectorMachine::negate(std::span<const Word> a) {
-  WordVec out = map(a, [](Word x) { return -x; }, /*batchable=*/true,
+  WordVec out = map(a, [](Word x) { return -x; },
                     simd_pick(&SimdKernels::neg), 0);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kNegate, out, a);
@@ -699,7 +511,7 @@ WordVec VectorMachine::negate(std::span<const Word> a) {
 }
 
 void VectorMachine::negate_into(WordVec& out, std::span<const Word> a) {
-  map_into(out, a, [](Word x) { return -x; }, /*batchable=*/true,
+  map_into(out, a, [](Word x) { return -x; },
            simd_pick(&SimdKernels::neg), 0);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kNegate, out, a);
@@ -723,16 +535,13 @@ void VectorMachine::cmp_into(Mask& out, std::span<const Word> a,
   issue(OpClass::kVectorCompare, a.size());
   out.resize(a.size());
   std::uint8_t* o = out.data();
-  run_lanes(OpClass::kVectorCompare, a.size(),
-            [o, a, b, f, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), b.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = f(a[i], b[i]) ? 1 : 0;
-              }
-            });
+  run_lanes(OpClass::kVectorCompare, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, a.data(), b.data(), 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) o[i] = f(a[i], b[i]) ? 1 : 0;
+  });
 }
 
 template <typename F>
@@ -749,14 +558,13 @@ void VectorMachine::cmp_scalar_into(Mask& out, std::span<const Word> a, F f,
   issue(OpClass::kVectorCompare, a.size());
   out.resize(a.size());
   std::uint8_t* o = out.data();
-  run_lanes(OpClass::kVectorCompare, a.size(),
-            [o, a, f, k, s](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), s, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = f(a[i]) ? 1 : 0;
-            });
+  run_lanes(OpClass::kVectorCompare, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, a.data(), s, 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) o[i] = f(a[i]) ? 1 : 0;
+  });
 }
 
 void VectorMachine::rec_cmp(analysis::Opcode op, const Mask& out,
@@ -858,16 +666,15 @@ void VectorMachine::mask_and_into(Mask& out, const Mask& a, const Mask& b) {
   const std::span<const std::uint8_t> ab = a.bytes();
   const std::span<const std::uint8_t> bb = b.bytes();
   const auto k = simd_pick(&SimdKernels::mask_and);
-  run_lanes(OpClass::kVectorMask, a.size(),
-            [o, ab, bb, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, ab.data(), bb.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = static_cast<std::uint8_t>(ab[i] & bb[i]);
-              }
-            });
+  run_lanes(OpClass::kVectorMask, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, ab.data(), bb.data(), 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      o[i] = static_cast<std::uint8_t>(ab[i] & bb[i]);
+    }
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskAnd, out.bytes(), a.bytes(),
                          b.bytes());
@@ -882,16 +689,15 @@ Mask VectorMachine::mask_or(const Mask& a, const Mask& b) {
   const std::span<const std::uint8_t> ab = a.bytes();
   const std::span<const std::uint8_t> bb = b.bytes();
   const auto k = simd_pick(&SimdKernels::mask_or);
-  run_lanes(OpClass::kVectorMask, a.size(),
-            [o, ab, bb, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, ab.data(), bb.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = static_cast<std::uint8_t>(ab[i] | bb[i]);
-              }
-            });
+  run_lanes(OpClass::kVectorMask, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, ab.data(), bb.data(), 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      o[i] = static_cast<std::uint8_t>(ab[i] | bb[i]);
+    }
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskOr, out.bytes(), a.bytes(), b.bytes());
   }
@@ -904,14 +710,13 @@ Mask VectorMachine::mask_not(const Mask& a) {
   std::uint8_t* o = out.data();
   const std::span<const std::uint8_t> ab = a.bytes();
   const auto k = simd_pick(&SimdKernels::mask_not);
-  run_lanes(OpClass::kVectorMask, a.size(),
-            [o, ab, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, ab.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = ab[i] != 0 ? 0 : 1;
-            });
+  run_lanes(OpClass::kVectorMask, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, ab.data(), 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) o[i] = ab[i] != 0 ? 0 : 1;
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskNot, out.bytes(), a.bytes(), {});
   }
@@ -919,7 +724,6 @@ Mask VectorMachine::mask_not(const Mask& a) {
 }
 
 std::size_t VectorMachine::count_true(const Mask& m) {
-  flush_batch();
   // count_true always charges its kVectorReduce chime — the modeled machine
   // still runs the instruction — but the host scan is skipped whenever the
   // mask already carries its popcount (and the result is cached for the
@@ -934,7 +738,6 @@ std::size_t VectorMachine::count_true(const Mask& m) {
 // ---- reductions ---------------------------------------------------------------
 
 Word VectorMachine::reduce_sum(std::span<const Word> v) {
-  flush_batch();
   const OpTimer timer(cost_, OpClass::kVectorReduce, v.size());
   issue(OpClass::kVectorReduce, v.size());
   if (analyzer_ != nullptr) {
@@ -944,7 +747,6 @@ Word VectorMachine::reduce_sum(std::span<const Word> v) {
 }
 
 Word VectorMachine::reduce_min(std::span<const Word> v) {
-  flush_batch();
   FOLVEC_REQUIRE(!v.empty(), "reduce_min needs a nonempty vector");
   const OpTimer timer(cost_, OpClass::kVectorReduce, v.size());
   issue(OpClass::kVectorReduce, v.size());
@@ -955,7 +757,6 @@ Word VectorMachine::reduce_min(std::span<const Word> v) {
 }
 
 Word VectorMachine::reduce_max(std::span<const Word> v) {
-  flush_batch();
   FOLVEC_REQUIRE(!v.empty(), "reduce_max needs a nonempty vector");
   const OpTimer timer(cost_, OpClass::kVectorReduce, v.size());
   issue(OpClass::kVectorReduce, v.size());
@@ -968,7 +769,6 @@ Word VectorMachine::reduce_max(std::span<const Word> v) {
 // ---- selection -----------------------------------------------------------------
 
 WordVec VectorMachine::compress(std::span<const Word> v, const Mask& m) {
-  flush_batch();
   FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
   const OpTimer timer(cost_, OpClass::kVectorCompress, v.size());
   issue(OpClass::kVectorCompress, v.size());
@@ -987,7 +787,6 @@ WordVec VectorMachine::compress(std::span<const Word> v, const Mask& m) {
 
 std::size_t VectorMachine::compress_into(WordVec& out, std::span<const Word> v,
                                          const Mask& m) {
-  flush_batch();
   FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
   const OpTimer timer(cost_, OpClass::kVectorCompress, v.size());
   issue(OpClass::kVectorCompress, v.size());
@@ -1015,16 +814,13 @@ void VectorMachine::select_into(WordVec& out, const Mask& m,
   Word* o = out.data();
   const std::span<const std::uint8_t> mb = m.bytes();
   const auto k = simd_pick(&SimdKernels::select);
-  run_lanes(OpClass::kVectorArith, a.size(),
-            [o, mb, a, b, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, mb.data(), a.data(), b.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = mb[i] != 0 ? a[i] : b[i];
-              }
-            });
+  run_lanes(OpClass::kVectorArith, a.size(), [&] {
+    if (k != nullptr) {
+      k(o, mb.data(), a.data(), b.data(), 0, a.size());
+      return;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) o[i] = mb[i] != 0 ? a[i] : b[i];
+  });
   if (analyzer_ != nullptr) analyzer_->rec_select(out, m.bytes(), a, b);
 }
 
@@ -1034,14 +830,13 @@ WordVec VectorMachine::from_mask(const Mask& m) {
   Word* o = out.data();
   const std::span<const std::uint8_t> mb = m.bytes();
   const auto k = simd_pick(&SimdKernels::from_mask);
-  run_lanes(OpClass::kVectorArith, m.size(),
-            [o, mb, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, mb.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = mb[i] != 0 ? 1 : 0;
-            });
+  run_lanes(OpClass::kVectorArith, m.size(), [&] {
+    if (k != nullptr) {
+      k(o, mb.data(), 0, m.size());
+      return;
+    }
+    for (std::size_t i = 0; i < m.size(); ++i) o[i] = mb[i] != 0 ? 1 : 0;
+  });
   if (analyzer_ != nullptr) analyzer_->rec_from_mask(out, m.bytes());
   return out;
 }
@@ -1050,7 +845,6 @@ WordVec VectorMachine::from_mask(const Mask& m) {
 
 void VectorMachine::store(std::span<Word> table, std::size_t offset,
                           std::span<const Word> v) {
-  flush_batch();
   // Subtraction form: `offset + v.size() <= table.size()` wraps for huge
   // offsets and would wave the store through.
   FOLVEC_REQUIRE(offset <= table.size() && v.size() <= table.size() - offset,
@@ -1059,24 +853,18 @@ void VectorMachine::store(std::span<Word> table, std::size_t offset,
   const OpTimer timer(cost_, OpClass::kVectorStore, v.size());
   issue(OpClass::kVectorStore, v.size());
   Word* dst = table.data() + offset;
-  backend_->for_lanes(v.size(), [&](std::size_t lo, std::size_t hi) {
-    std::copy(v.begin() + static_cast<std::ptrdiff_t>(lo),
-              v.begin() + static_cast<std::ptrdiff_t>(hi), dst + lo);
-  });
+  std::copy(v.begin(), v.end(), dst);
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kStore, table, dst, v.size(), 1);
   }
 }
 
 void VectorMachine::fill(std::span<Word> table, Word value) {
-  flush_batch();
   if (checker_ != nullptr) checker_->on_overwrite(table.data(), table.size());
   const OpTimer timer(cost_, OpClass::kVectorStore, table.size());
   issue(OpClass::kVectorStore, table.size());
   Word* dst = table.data();
-  backend_->for_lanes(table.size(), [&](std::size_t lo, std::size_t hi) {
-    std::fill(dst + lo, dst + hi, value);
-  });
+  std::fill(table.begin(), table.end(), value);
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kFill, table, dst, table.size(), 1);
   }
@@ -1084,18 +872,13 @@ void VectorMachine::fill(std::span<Word> table, Word value) {
 
 WordVec VectorMachine::load(std::span<const Word> table, std::size_t offset,
                             std::size_t n) {
-  flush_batch();
   FOLVEC_REQUIRE(offset <= table.size() && n <= table.size() - offset,
                  "contiguous load out of bounds");
   if (checker_ != nullptr) checker_->on_contiguous_read(table, offset, n);
   const OpTimer timer(cost_, OpClass::kVectorLoad, n);
   issue(OpClass::kVectorLoad, n);
-  WordVec out(n);
-  Word* o = out.data();
   const Word* src = table.data() + offset;
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
-    std::copy(src + lo, src + hi, o + lo);
-  });
+  WordVec out(src, src + n);
   if (analyzer_ != nullptr) {
     analyzer_->rec_load(analysis::Opcode::kLoad, out, table);
   }
@@ -1105,7 +888,6 @@ WordVec VectorMachine::load(std::span<const Word> table, std::size_t offset,
 WordVec VectorMachine::load_strided(std::span<const Word> table,
                                     std::size_t offset, std::size_t stride,
                                     std::size_t n) {
-  flush_batch();
   FOLVEC_REQUIRE(stride > 0, "stride must be positive");
   // Division form: `offset + (n-1)*stride` wraps for huge offsets/strides.
   FOLVEC_REQUIRE(n == 0 || (offset < table.size() &&
@@ -1116,13 +898,11 @@ WordVec VectorMachine::load_strided(std::span<const Word> table,
   WordVec out(n);
   Word* o = out.data();
   const auto k = simd_pick(&SimdKernels::load_strided);
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
-    if (k != nullptr) {
-      k(o, table.data(), offset, stride, lo, hi);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) o[i] = table[offset + i * stride];
-  });
+  if (k != nullptr) {
+    k(o, table.data(), offset, stride, 0, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) o[i] = table[offset + i * stride];
+  }
   if (analyzer_ != nullptr) {
     analyzer_->rec_load(analysis::Opcode::kLoadStrided, out, table);
   }
@@ -1132,7 +912,6 @@ WordVec VectorMachine::load_strided(std::span<const Word> table,
 void VectorMachine::store_strided(std::span<Word> table, std::size_t offset,
                                   std::size_t stride,
                                   std::span<const Word> v) {
-  flush_batch();
   FOLVEC_REQUIRE(stride > 0, "stride must be positive");
   FOLVEC_REQUIRE(
       v.empty() || (offset < table.size() &&
@@ -1143,9 +922,7 @@ void VectorMachine::store_strided(std::span<Word> table, std::size_t offset,
   }
   const OpTimer timer(cost_, OpClass::kVectorStore, v.size());
   issue(OpClass::kVectorStore, v.size());
-  backend_->for_lanes(v.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) table[offset + i * stride] = v[i];
-  });
+  for (std::size_t i = 0; i < v.size(); ++i) table[offset + i * stride] = v[i];
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kStoreStrided, table,
                          table.data() + offset, v.size(), stride);
@@ -1170,7 +947,6 @@ WordVec VectorMachine::gather(std::span<const Word> table,
 
 void VectorMachine::gather_into(WordVec& out, std::span<const Word> table,
                                 std::span<const Word> idx) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1200,22 +976,19 @@ void VectorMachine::gather_into(WordVec& out, std::span<const Word> table,
   out.resize(idx.size());
   Word* o = out.data();
   const auto k = simd_pick(&SimdKernels::gather);
-  backend_->for_lanes(idx.size(), [&](std::size_t lo, std::size_t hi) {
-    if (k != nullptr) {
-      k(o, table.data(), idx.data(), lo, hi);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
+  if (k != nullptr) {
+    k(o, table.data(), idx.data(), 0, idx.size());
+  } else {
+    for (std::size_t i = 0; i < idx.size(); ++i) {
       o[i] = table[static_cast<std::size_t>(idx[i])];
     }
-  });
+  }
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, {}, sv, elide);
 }
 
 WordVec VectorMachine::gather_masked(std::span<const Word> table,
                                      std::span<const Word> idx, const Mask& m,
                                      Word fill) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1237,15 +1010,13 @@ WordVec VectorMachine::gather_masked(std::span<const Word> table,
   WordVec out(idx.size(), fill);
   Word* o = out.data();
   const auto k = simd_pick(&SimdKernels::gather_masked);
-  backend_->for_lanes(idx.size(), [&](std::size_t lo, std::size_t hi) {
-    if (k != nullptr) {
-      k(o, table.data(), idx.data(), m.data(), lo, hi);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
+  if (k != nullptr) {
+    k(o, table.data(), idx.data(), m.data(), 0, idx.size());
+  } else {
+    for (std::size_t i = 0; i < idx.size(); ++i) {
       if (m[i] != 0) o[i] = table[static_cast<std::size_t>(idx[i])];
     }
-  });
+  }
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, m.bytes(), sv, elide);
   return out;
 }
@@ -1271,7 +1042,7 @@ void VectorMachine::dispatch_scatter(std::span<Word> table,
       break;
     case ScatterOrder::kShuffled: {
       // The permutation is drawn from the machine's RNG on the issuing
-      // thread, so it is identical for every backend and worker count.
+      // thread, so it is identical for every backend.
       const std::vector<std::size_t> order = shuffled_lane_order(idx.size());
       backend_->scatter(table, idx, vals, m, ScatterTraversal::kExplicit,
                         order);
@@ -1331,7 +1102,6 @@ bool VectorMachine::try_elide_scatter(std::span<const Word> table,
 
 void VectorMachine::scatter(std::span<Word> table, std::span<const Word> idx,
                             std::span<const Word> vals) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1378,7 +1148,6 @@ void VectorMachine::scatter(std::span<Word> table, std::span<const Word> idx,
 void VectorMachine::scatter_masked(std::span<Word> table,
                                    std::span<const Word> idx,
                                    std::span<const Word> vals, const Mask& m) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1410,7 +1179,6 @@ void VectorMachine::scatter_masked(std::span<Word> table,
 void VectorMachine::scatter_ordered(std::span<Word> table,
                                     std::span<const Word> idx,
                                     std::span<const Word> vals) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1446,7 +1214,6 @@ void VectorMachine::scatter_ordered(std::span<Word> table,
 
 void VectorMachine::scalar_store(std::span<Word> table, std::size_t pos,
                                  Word value) {
-  flush_batch();
   FOLVEC_REQUIRE(pos < table.size(), "scalar store out of bounds");
   if (checker_ != nullptr) checker_->on_scalar_store(table, pos, value);
   issue(OpClass::kScalarMem, 1);
@@ -1528,7 +1295,6 @@ Mask VectorMachine::scatter_gather_eq(std::span<Word> table,
 void VectorMachine::scatter_gather_eq_into(Mask& out, std::span<Word> table,
                                            std::span<const Word> idx,
                                            std::span<const Word> vals) {
-  flush_batch();
   // The ELS-violation injection lives in the plain scatter, so the injected
   // amalgam must flow through the unfused composition to stay observable.
   if (!config_.fuse || config_.inject_els_violation) {
@@ -1598,7 +1364,6 @@ Mask VectorMachine::scatter_gather_eq_masked(std::span<Word> table,
                                              std::span<const Word> idx,
                                              std::span<const Word> vals,
                                              const Mask& active) {
-  flush_batch();
   if (!config_.fuse || config_.inject_els_violation) {
     scatter_masked(table, idx, vals, active);
     const WordVec readback = gather(table, idx);
@@ -1639,7 +1404,6 @@ Mask VectorMachine::scatter_gather_eq_masked(std::span<Word> table,
 
 std::pair<WordVec, WordVec> VectorMachine::partition(std::span<const Word> v,
                                                      const Mask& m) {
-  flush_batch();
   FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
   if (!config_.fuse) {
     WordVec kept = compress(v, m);
@@ -1664,7 +1428,6 @@ std::pair<WordVec, WordVec> VectorMachine::partition(std::span<const Word> v,
 std::size_t VectorMachine::partition_into(WordVec& kept, WordVec& rejected,
                                           std::span<const Word> v,
                                           const Mask& m) {
-  flush_batch();
   FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
   if (!config_.fuse) {
     const std::size_t nt = compress_into(kept, v, m);

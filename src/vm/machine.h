@@ -32,7 +32,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -69,13 +68,11 @@ enum class ScatterOrder : std::uint8_t {
 
 /// Which execution backend runs the primitive lane loops (see backend.h).
 enum class BackendKind : std::uint8_t {
-  kSerial,        ///< reference semantics, one thread
-  kParallel,      ///< lanes chunked across a persistent thread pool
-  kSimd,          ///< one thread, lane loops lowered to real vector ISA
-  kParallelSimd,  ///< pool chunks running the SIMD lane loops inside
+  kSerial,  ///< reference semantics, one thread
+  kSimd,    ///< one thread, lane loops lowered to real vector ISA
 };
 
-/// Which SIMD kernel table the simd backends execute through (see
+/// Which SIMD kernel table the simd backend executes through (see
 /// simd_backend.h). Declaration order is support rank order: resolution
 /// downgrades toward kScalar, never up.
 enum class SimdLevel : std::uint8_t {
@@ -88,8 +85,7 @@ enum class SimdLevel : std::uint8_t {
 
 // Lane-kernel pointer shapes of the SIMD kernel table (simd_kernels.h).
 // Null means "no lowering at this level"; primitives then run their plain
-// loops. All operate on lanes [lo, hi) of shared vectors, the same contract
-// as Backend::for_lanes chunks.
+// loops. All operate on lanes [lo, hi) of their vectors.
 using SimdBinFn = void (*)(Word*, const Word*, const Word*, std::size_t,
                            std::size_t);
 using SimdMapFn = void (*)(Word*, const Word*, Word, std::size_t,
@@ -98,16 +94,6 @@ using SimdCmpFn = void (*)(std::uint8_t*, const Word*, const Word*,
                            std::size_t, std::size_t);
 using SimdCmpSFn = void (*)(std::uint8_t*, const Word*, Word, std::size_t,
                             std::size_t);
-
-/// How the parallel backend merges colliding scatter writes (see
-/// parallel_backend.h for both algorithms; every choice is bit-identical to
-/// serial, they differ only in memory traffic and dispatch count).
-enum class MergeStrategy : std::uint8_t {
-  kAuto,        ///< single-pass for forward/reverse traversals and short
-                ///< explicit ones (<= 160 lanes); two-pass for the rest
-  kSinglePass,  ///< claim-interval merge, one dispatch (any traversal)
-  kTwoPass,     ///< owner-computes route+replay merge (the PR 2 reference)
-};
 
 struct MachineConfig {
   ScatterOrder scatter_order = ScatterOrder::kForward;
@@ -124,39 +110,24 @@ struct MachineConfig {
   static bool audit_default();
 
   /// Default backend: from the FOLVEC_BACKEND environment variable when set
-  /// ("serial"/"parallel"/"simd"/"parallel+simd" (or "simd+parallel"), or
-  /// the boolean spellings of support/env.h where truthy means parallel),
-  /// else parallel iff built with -DFOLVEC_PARALLEL=ON.
+  /// — exactly "serial" or "simd" (case- and space-insensitive; any other
+  /// value throws PreconditionError) — else kSerial.
   static BackendKind backend_default();
 
-  /// Execution backend. Audit mode pins the instruction stream to the
-  /// single-threaded path regardless (ScatterCheck's per-lane bookkeeping is
-  /// single-threaded, and audited runs must see reference execution):
-  /// kParallel runs as kSerial and kParallelSimd as kSimd. The SIMD lane
-  /// kernels themselves stay auditable — they are bit-identical to serial
-  /// and execute on the issuing thread.
+  /// Execution backend. Both run on the issuing thread and stay auditable:
+  /// the SIMD lane kernels are bit-identical to serial.
   BackendKind backend = backend_default();
 
   /// Default SIMD level: from the FOLVEC_SIMD_LEVEL environment variable
   /// when set (auto/scalar/neon/avx2/avx512), else kAuto.
   static SimdLevel simd_level_default();
 
-  /// Requested kernel level for the simd backends (ignored by kSerial /
-  /// kParallel). kAuto resolves to the best level the host CPU supports; a
+  /// Requested kernel level for the simd backend (ignored by kSerial).
+  /// kAuto resolves to the best level the host CPU supports; a
   /// forced level unavailable on this host/build degrades to the best
   /// supported lower level with a one-time stderr notice (see
   /// simd_backend.h).
   SimdLevel simd_level = simd_level_default();
-  /// Worker threads for the parallel backend; 0 = hardware concurrency.
-  std::size_t backend_threads = 0;
-  /// Minimum lanes per worker chunk before the parallel backend splits an
-  /// instruction. Tests lower it to exercise the parallel path on short
-  /// vectors; benches keep the default so tiny ops skip dispatch.
-  std::size_t backend_grain = 4096;
-  /// Scatter merge strategy of the parallel backend. kAuto picks per
-  /// instruction; the forced settings exist for differential tests and
-  /// ablation benches (every setting is bit-identical to serial).
-  MergeStrategy merge_strategy = MergeStrategy::kAuto;
 
   /// Default fusion setting: from the FOLVEC_FUSE environment variable when
   /// set (boolean spellings of support/env.h), else true.
@@ -235,12 +206,8 @@ class VectorMachine {
   CostAccumulator& cost() { return cost_; }
   const CostAccumulator& cost() const { return cost_; }
 
-  /// Name of the active execution backend ("serial", "parallel", "simd" or
-  /// "parallel+simd"). May differ from config().backend: audit mode pins
-  /// execution to the single-threaded path.
+  /// Name of the active execution backend ("serial" or "simd").
   const char* backend_name() const;
-  /// Worker count of the active backend (1 for serial/simd).
-  std::size_t backend_workers() const;
   /// The resolved SIMD kernel level the machine executes through (kScalar
   /// when no SIMD backend is attached).
   SimdLevel active_simd_level() const;
@@ -286,39 +253,6 @@ class VectorMachine {
   /// Steady-state round loops acquire their working vectors here and feed
   /// them to the *_into primitives so repeated rounds allocate nothing.
   BufferPool& pool() { return *pool_; }
-
-  // ---- multi-op batched dispatch ------------------------------------------
-
-  /// RAII dispatch batch: while one is alive (and neither audit nor
-  /// analysis is attached), lane-aligned register ops — generation,
-  /// elementwise arithmetic, compares, mask algebra, select — queue their
-  /// lane kernels instead of dispatching each to the backend; the queued
-  /// round then crosses the pool boundary ONCE, each worker running every
-  /// queued kernel over its lane chunk in issue order. Chimes and the
-  /// instruction trace are recorded eagerly at issue (the modeled stream is
-  /// unchanged); wall time is measured at the flush and split evenly over
-  /// the queued op classes.
-  ///
-  /// A batch flushes at the outermost scope exit, whenever a non-batchable
-  /// primitive (memory, reduction, compress/partition, reverse, shl_scalar)
-  /// is issued, and whenever the queued lane count changes. Per-chunk
-  /// in-order execution of lane-aligned kernels reproduces serial dataflow
-  /// exactly, so results are bit-identical to unbatched execution — but
-  /// they are UNOBSERVABLE until the flush. Lifetime rules for callers:
-  /// every buffer an enqueued kernel reads or writes must stay alive and
-  /// unresized until the flush — compose chains through named (pooled)
-  /// buffers via the *_into primitives, never through nested temporaries,
-  /// and do not release pooled buffers mid-batch. See docs/backends.md.
-  class OpBatch {
-   public:
-    explicit OpBatch(VectorMachine& m) : m_(m) { m_.begin_batch(); }
-    ~OpBatch() { m_.end_batch(); }
-    OpBatch(const OpBatch&) = delete;
-    OpBatch& operator=(const OpBatch&) = delete;
-
-   private:
-    VectorMachine& m_;
-  };
 
   // ---- vector generation -------------------------------------------------
 
@@ -567,11 +501,10 @@ class VectorMachine {
   void zip_into(WordVec& out, std::span<const Word> a, std::span<const Word> b,
                 F f, SimdBinFn k = nullptr);
   template <typename F>
-  WordVec map(std::span<const Word> a, F f, bool batchable = true,
-              SimdMapFn k = nullptr, Word s = 0);
+  WordVec map(std::span<const Word> a, F f, SimdMapFn k = nullptr, Word s = 0);
   template <typename F>
   void map_into(WordVec& out, std::span<const Word> a, F f,
-                bool batchable = true, SimdMapFn k = nullptr, Word s = 0);
+                SimdMapFn k = nullptr, Word s = 0);
   template <typename F>
   Mask cmp(std::span<const Word> a, std::span<const Word> b, F f,
            SimdCmpFn k = nullptr);
@@ -591,34 +524,12 @@ class VectorMachine {
   template <typename K>
   K simd_pick(K SimdKernels::*field);
 
-  // ---- batched dispatch internals -----------------------------------------
-
-  /// One queued lane kernel of an open OpBatch. Kernels capture their
-  /// operand pointers/spans by value (taken AFTER the destination resize)
-  /// and touch only lanes [lo, hi), so running every queued kernel in issue
-  /// order per chunk reproduces the serial dataflow exactly.
-  struct BatchEntry {
-    std::function<void(std::size_t, std::size_t)> kernel;
-    OpClass op_class;
-  };
-
-  void begin_batch() { ++batch_depth_; }
-  void end_batch();
-  /// Dispatches the queued kernels as one pool crossing; a no-op when the
-  /// queue is empty. Every non-batchable primitive calls this first, so
-  /// machine state is always current when it executes.
-  void flush_batch();
-  /// True while eligible primitives must queue instead of dispatch. Audit
-  /// and analysis observe results eagerly, so either disables batching.
-  bool batching() const {
-    return batch_depth_ > 0 && checker_ == nullptr && analyzer_ == nullptr;
+  /// Runs one lane kernel over all n lanes under an OpTimer charged to `c`.
+  template <typename F>
+  void run_lanes(OpClass c, std::size_t n, F kernel) {
+    const OpTimer timer(cost_, c, n);
+    kernel();
   }
-  /// Runs one lane-aligned kernel: queued when batching, else dispatched
-  /// immediately under an OpTimer (`batchable` false forces immediate —
-  /// used by kernels that may throw per lane, which must not defer).
-  void run_lanes(OpClass c, std::size_t n,
-                 std::function<void(std::size_t, std::size_t)> kernel,
-                 bool batchable = true);
 
   /// Shared fused-kernel body for the scatter_gather_eq variants: issues the
   /// single kVectorScatterGatherEq instruction and runs the backend's fused
@@ -695,18 +606,13 @@ class VectorMachine {
   // the analyzer, so the analyzer must still be alive when pool_ dies.
   std::unique_ptr<analysis::Analyzer> analyzer_;
   std::unique_ptr<Backend> backend_;
-  /// Resolved SIMD kernel table (null for kSerial/kParallel). Tables are
+  /// Resolved SIMD kernel table (null for kSerial). Tables are
   /// function-local statics in their kernel TUs, so the pointer never
   /// dangles.
   const SimdKernels* simd_ = nullptr;
   /// Lane loops that actually ran a non-null table entry.
   std::size_t simd_dispatches_ = 0;
   std::unique_ptr<BufferPool> pool_;
-  /// Open OpBatch nesting depth and the queued round (see OpBatch).
-  std::size_t batch_depth_ = 0;
-  /// Lane count shared by every queued entry; a mismatching issue flushes.
-  std::size_t batch_lanes_ = 0;
-  std::vector<BatchEntry> batch_;
 };
 
 /// RAII algorithm span: a chime-carrying telemetry span scoped to one

@@ -151,8 +151,6 @@ SimdLevel simd_parse_level(const char* spelling) {
   return SimdLevel::kAuto;
 }
 
-void SimdBackend::for_lanes(std::size_t n, RangeFn fn) { fn(0, n); }
-
 Word SimdBackend::reduce_sum(std::span<const Word> v) {
   if (k_->reduce_sum != nullptr) return k_->reduce_sum(v.data(), v.size());
   Word total = 0;

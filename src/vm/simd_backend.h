@@ -1,4 +1,4 @@
-// SimdBackend: the third vm::Backend — single-threaded like SerialBackend,
+// SimdBackend: the fast vm::Backend — single-threaded like SerialBackend,
 // but every primitive runs through a runtime-dispatched SimdKernels table
 // (simd_kernels.h) so the lane loops execute real AVX2/AVX-512/NEON
 // instructions where the host has them and the level has a lowering.
@@ -59,12 +59,10 @@ class SimdBackend final : public Backend {
   explicit SimdBackend(const SimdKernels& kernels) : k_(&kernels) {}
 
   const char* name() const override { return "simd"; }
-  std::size_t workers() const override { return 1; }
 
   /// The table this backend executes through (for telemetry).
   const SimdKernels& kernels() const { return *k_; }
 
-  void for_lanes(std::size_t n, RangeFn fn) override;
   Word reduce_sum(std::span<const Word> v) override;
   Word reduce_min(std::span<const Word> v) override;
   Word reduce_max(std::span<const Word> v) override;

@@ -16,10 +16,8 @@
 // arithmetic and the ELS scatter survivor; tests/backend_diff_test.cpp
 // enforces that per level.
 //
-// Lane-kernel entries (SimdBinFn and friends) run over [lo, hi) of a larger
-// vector — the exact contract of Backend::for_lanes chunks — which is what
-// lets ParallelBackend compose with a table: each pool worker runs the SIMD
-// inner loop over its own chunk.
+// Lane-kernel entries (SimdBinFn and friends) run over lanes [lo, hi) of a
+// vector; VectorMachine issues each instruction as one call over [0, n).
 #pragma once
 
 #include <cstddef>
@@ -34,7 +32,7 @@ struct SimdKernels {
   /// Telemetry spelling of the level ("scalar", "neon", "avx2", "avx512").
   const char* name;
 
-  // ---- lane kernels (chunkable; [lo, hi) of a shared vector) --------------
+  // ---- lane kernels ([lo, hi) of a vector) --------------------------------
 
   SimdBinFn add;
   SimdBinFn sub;
@@ -87,7 +85,7 @@ struct SimdKernels {
   void (*load_strided)(Word*, const Word* table, std::size_t offset,
                        std::size_t stride, std::size_t, std::size_t);
 
-  // ---- whole-span entry points (used by SimdBackend and per pool chunk) ---
+  // ---- whole-span entry points (used by SimdBackend) ----------------------
 
   Word (*reduce_sum)(const Word*, std::size_t n);
   Word (*reduce_min)(const Word*, std::size_t n);

@@ -1,17 +1,15 @@
-// Differential fuzz of the execution backends: ParallelBackend must be
+// Differential fuzz of the execution backends: SimdBackend must be
 // bit-identical to SerialBackend for every primitive, under every
-// ScatterOrder, at every worker count — same outputs, same memory images,
-// same chime costs, same exceptions. The parallel machines run with a tiny
-// backend_grain so even short vectors actually cross the thread pool.
+// ScatterOrder, at every SIMD level — same outputs, same memory images,
+// same chime costs, same exceptions, same telemetry — and the fused kernels
+// must be bit-identical to their unfused compositions on both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,11 +20,11 @@
 #include "support/prng.h"
 #include "telemetry/metrics.h"
 #include "telemetry/spans.h"
+#include "vm/backend.h"
 #include "vm/buffer_pool.h"
 #include "vm/checker.h"
 #include "vm/machine.h"
 #include "vm/simd_backend.h"
-#include "vm/thread_pool.h"
 
 namespace folvec::vm {
 namespace {
@@ -36,8 +34,7 @@ MachineConfig diff_config(ScatterOrder order, std::uint64_t seed) {
   cfg.scatter_order = order;
   cfg.shuffle_seed = seed;
   // The fuzz scatters duplicate addresses outside ConflictWindows on
-  // purpose; opt out of auditing regardless of the FOLVEC_AUDIT env (audit
-  // would also pin the parallel machine to the serial path).
+  // purpose; opt out of auditing regardless of the FOLVEC_AUDIT env.
   cfg.audit = false;
   return cfg;
 }
@@ -45,17 +42,6 @@ MachineConfig diff_config(ScatterOrder order, std::uint64_t seed) {
 VectorMachine make_serial(ScatterOrder order, std::uint64_t seed) {
   MachineConfig cfg = diff_config(order, seed);
   cfg.backend = BackendKind::kSerial;
-  return VectorMachine(cfg);
-}
-
-VectorMachine make_parallel(ScatterOrder order, std::uint64_t seed,
-                            std::size_t threads, std::size_t grain = 8,
-                            MergeStrategy merge = MergeStrategy::kAuto) {
-  MachineConfig cfg = diff_config(order, seed);
-  cfg.backend = BackendKind::kParallel;
-  cfg.backend_threads = threads;
-  cfg.backend_grain = grain;
-  cfg.merge_strategy = merge;
   return VectorMachine(cfg);
 }
 
@@ -67,24 +53,13 @@ VectorMachine make_simd(ScatterOrder order, std::uint64_t seed,
   return VectorMachine(cfg);
 }
 
-VectorMachine make_parallel_simd(ScatterOrder order, std::uint64_t seed,
-                                 std::size_t threads, SimdLevel level,
-                                 std::size_t grain = 8) {
-  MachineConfig cfg = diff_config(order, seed);
-  cfg.backend = BackendKind::kParallelSimd;
-  cfg.backend_threads = threads;
-  cfg.backend_grain = grain;
-  cfg.simd_level = level;
-  return VectorMachine(cfg);
-}
-
 void expect_same_costs(const CostAccumulator& serial,
-                       const CostAccumulator& parallel) {
+                       const CostAccumulator& other) {
   for (std::size_t i = 0; i < kOpClassCount; ++i) {
     const auto c = static_cast<OpClass>(i);
-    EXPECT_EQ(serial.instructions(c), parallel.instructions(c))
+    EXPECT_EQ(serial.instructions(c), other.instructions(c))
         << "instruction count diverged for " << op_class_name(c);
-    EXPECT_EQ(serial.elements(c), parallel.elements(c))
+    EXPECT_EQ(serial.elements(c), other.elements(c))
         << "element count diverged for " << op_class_name(c);
   }
 }
@@ -202,139 +177,30 @@ WordVec run_script(VectorMachine& m, const Inputs& in) {
   return digest;
 }
 
-class BackendDiffTest
-    : public ::testing::TestWithParam<std::tuple<ScatterOrder, std::size_t>> {
- protected:
-  ScatterOrder order() const { return std::get<0>(GetParam()); }
-  std::size_t threads() const { return std::get<1>(GetParam()); }
-};
-
-TEST_P(BackendDiffTest, EveryPrimitiveBitIdenticalWithIdenticalChimes) {
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
-        std::size_t{257}, std::size_t{1000}, std::size_t{4099}}) {
-    const Inputs in(n, 0xfeed0000 + n);
-    VectorMachine serial = make_serial(order(), 99);
-    VectorMachine parallel = make_parallel(order(), 99, threads());
-    ASSERT_STREQ(parallel.backend_name(), "parallel");
-    EXPECT_EQ(parallel.backend_workers(), threads());
-    const WordVec want = run_script(serial, in);
-    const WordVec got = run_script(parallel, in);
-    ASSERT_EQ(want, got) << "digest diverged at n=" << n;
-    expect_same_costs(serial.cost(), parallel.cost());
-  }
-}
-
-TEST_P(BackendDiffTest, ScatterMergeLaneExactUnderHeavyCollisions) {
-  Xoshiro256 rng(0xc0113c7);
-  for (int round = 0; round < 40; ++round) {
-    const auto n = static_cast<std::size_t>(rng.in_range(1, 600));
-    // Between 1 and n distinct addresses: the low end makes nearly every
-    // lane collide, the merge's worst case.
-    const auto table_size = static_cast<std::size_t>(
-        rng.in_range(1, static_cast<Word>(n)));
-    WordVec table_s(table_size, 0);
-    WordVec idx(n);
-    WordVec vals(n);
-    for (auto& x : idx) {
-      x = rng.in_range(0, static_cast<Word>(table_size) - 1);
-    }
-    for (auto& x : vals) x = rng.in_range(-1 << 20, 1 << 20);
-    WordVec table_p = table_s;
-    const auto seed = static_cast<std::uint64_t>(round) * 7919 + 1;
-    VectorMachine serial = make_serial(order(), seed);
-    VectorMachine parallel = make_parallel(order(), seed, threads(),
-                                           /*grain=*/1);
-    serial.scatter(table_s, idx, vals);
-    parallel.scatter(table_p, idx, vals);
-    ASSERT_EQ(table_s, table_p)
-        << "scatter survivor diverged: n=" << n << " areas=" << table_size;
-  }
-}
-
-TEST_P(BackendDiffTest, ExceptionParityAcrossWorkerThreads) {
-  VectorMachine serial = make_serial(order(), 5);
-  VectorMachine parallel = make_parallel(order(), 5, threads());
-  // A negative element deep inside one chunk: the worker's exception must
-  // surface on the issuing thread with the serial exception type.
-  WordVec v(300, 1);
-  v[257] = -4;
-  EXPECT_THROW(serial.shl_scalar(v, 1), PreconditionError);
-  EXPECT_THROW(parallel.shl_scalar(v, 1), PreconditionError);
-  // Out-of-bounds lane in the middle of a gather/scatter.
-  WordVec table(16, 0);
-  WordVec idx(300, 3);
-  idx[170] = 99;
-  EXPECT_THROW(serial.gather(table, idx), PreconditionError);
-  EXPECT_THROW(parallel.gather(table, idx), PreconditionError);
-  const WordVec vals(300, 1);
-  EXPECT_THROW(serial.scatter(table, idx, vals), PreconditionError);
-  EXPECT_THROW(parallel.scatter(table, idx, vals), PreconditionError);
-  // Inactive out-of-bounds lanes are legal on both.
-  Mask mask(300, 1);
-  mask[170] = 0;
-  WordVec table_s = table;
-  WordVec table_p = table;
-  serial.scatter_masked(table_s, idx, vals, mask);
-  parallel.scatter_masked(table_p, idx, vals, mask);
-  EXPECT_EQ(table_s, table_p);
-}
-
-std::string diff_param_name(
-    const ::testing::TestParamInfo<std::tuple<ScatterOrder, std::size_t>>&
-        info) {
-  static constexpr const char* kOrderNames[] = {"Forward", "Reverse",
-                                                "Shuffled"};
-  return std::string(
-             kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
-         "x" + std::to_string(std::get<1>(info.param)) + "threads";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllOrdersAllThreadCounts, BackendDiffTest,
-    ::testing::Combine(::testing::Values(ScatterOrder::kForward,
-                                         ScatterOrder::kReverse,
-                                         ScatterOrder::kShuffled),
-                       ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8})),
-    diff_param_name);
-
-TEST(BackendDiffLargeTest, LargeVectorsWithDefaultGrain) {
+TEST(BackendDiffLargeTest, LargeVectorsSimdMatchesSerial) {
   const std::size_t n = 200000;
   const Inputs in(n, 0xabcde);
   VectorMachine serial = make_serial(ScatterOrder::kShuffled, 7);
-  VectorMachine parallel =
-      make_parallel(ScatterOrder::kShuffled, 7, 4, /*grain=*/4096);
+  VectorMachine simd = make_simd(ScatterOrder::kShuffled, 7,
+                                 MachineConfig::simd_level_default());
   const WordVec want = run_script(serial, in);
-  const WordVec got = run_script(parallel, in);
+  const WordVec got = run_script(simd, in);
   ASSERT_EQ(want, got);
-  expect_same_costs(serial.cost(), parallel.cost());
-}
-
-TEST(BackendDiffLargeTest, AuditModePinsParallelConfigToSerialPath) {
-  MachineConfig cfg;
-  cfg.backend = BackendKind::kParallel;
-  cfg.backend_threads = 4;
-  cfg.audit = true;
-  const VectorMachine m(cfg);
-  EXPECT_STREQ(m.backend_name(), "serial");
-  EXPECT_EQ(m.backend_workers(), 1u);
+  expect_same_costs(serial.cost(), simd.cost());
 }
 
 // ---- telemetry determinism across backends ---------------------------------
 //
 // The metrics contract (telemetry/metrics.h): everything outside the "pool."
 // and "backend." namespaces carries modeled quantities and must be
-// bit-identical for the same program on any backend at any worker count.
+// bit-identical for the same program on either backend.
 // The span timeline likewise: the same spans, in the same order, with the
 // same chime deltas — only the wall timestamps differ.
 
-VectorMachine make_telemetry_machine(BackendKind kind, std::size_t threads) {
+VectorMachine make_telemetry_machine(BackendKind kind) {
   MachineConfig cfg;
-  cfg.audit = false;  // audit would pin the parallel machine to serial
+  cfg.audit = false;
   cfg.backend = kind;
-  cfg.backend_threads = threads;
-  cfg.backend_grain = 8;  // force short vectors across the pool
   return VectorMachine(cfg);
 }
 
@@ -354,14 +220,13 @@ void telemetry_workload(VectorMachine& m) {
   m.reduce_sum(m.mul_scalar(a, 3));
 }
 
-telemetry::MetricsSnapshot run_with_metrics(BackendKind kind,
-                                            std::size_t threads) {
+telemetry::MetricsSnapshot run_with_metrics(BackendKind kind) {
   telemetry::MetricsRegistry registry;
   const telemetry::ScopedMetrics scoped(registry);
   {
     // The machine flushes its per-op-class totals on destruction, so the
     // snapshot is taken after this scope closes.
-    VectorMachine m = make_telemetry_machine(kind, threads);
+    VectorMachine m = make_telemetry_machine(kind);
     telemetry_workload(m);
   }
   return registry.snapshot();
@@ -369,15 +234,14 @@ telemetry::MetricsSnapshot run_with_metrics(BackendKind kind,
 
 /// The backend-invariant part of a trace: span and op event names,
 /// categories, and chime payloads, in emission order — everything but the
-/// wall clock. Host-side decoration (thread metadata, per-worker "chunk"
-/// slices, "flow" arrows, "counter" samples) is excluded by construction:
-/// those describe how the host scheduled the work, not what the program
-/// computed, and legitimately differ across backends and worker counts.
-std::string span_tree_signature(BackendKind kind, std::size_t threads) {
+/// wall clock. Host-side decoration (thread metadata, "counter" samples) is
+/// excluded by construction: it describes how the host ran the work, not
+/// what the program computed.
+std::string span_tree_signature(BackendKind kind) {
   telemetry::SpanTracer tracer;
   {
     const telemetry::ScopedTracer scoped(tracer);
-    VectorMachine m = make_telemetry_machine(kind, threads);
+    VectorMachine m = make_telemetry_machine(kind);
     telemetry_workload(m);
   }
   std::ostringstream os;
@@ -407,164 +271,68 @@ std::string span_tree_signature(BackendKind kind, std::size_t threads) {
   return sig;
 }
 
-TEST(TelemetryDeterminismTest, MetricsIdenticalAcrossBackendsAndWorkers) {
+TEST(TelemetryDeterminismTest, MetricsIdenticalAcrossBackends) {
   const telemetry::MetricsSnapshot serial =
-      run_with_metrics(BackendKind::kSerial, 1).deterministic();
+      run_with_metrics(BackendKind::kSerial).deterministic();
   ASSERT_FALSE(serial.counters.empty());
   ASSERT_FALSE(serial.histograms.empty());
   EXPECT_TRUE(serial.counters.contains("fol1.rounds"));
   EXPECT_TRUE(serial.counters.contains("hashing.retry_rounds"));
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const telemetry::MetricsSnapshot parallel =
-        run_with_metrics(BackendKind::kParallel, workers).deterministic();
-    EXPECT_EQ(serial.to_text(), parallel.to_text())
-        << "deterministic metrics diverged at " << workers << " workers";
-    EXPECT_TRUE(serial == parallel);
-  }
+  const telemetry::MetricsSnapshot simd =
+      run_with_metrics(BackendKind::kSimd).deterministic();
+  EXPECT_EQ(serial.to_text(), simd.to_text());
+  EXPECT_TRUE(serial == simd);
 }
 
 TEST(TelemetryDeterminismTest, FullSnapshotSeparatesHostOnlyNamespaces) {
-  // The raw (non-deterministic view) parallel snapshot is allowed to differ
+  // The raw (non-deterministic view) SIMD snapshot is allowed to differ
   // from serial ONLY via timings, labels, and the pool./backend. namespaces.
   const telemetry::MetricsSnapshot serial =
-      run_with_metrics(BackendKind::kSerial, 1);
-  const telemetry::MetricsSnapshot parallel =
-      run_with_metrics(BackendKind::kParallel, 4);
-  EXPECT_EQ(parallel.labels.at("backend.name"), "parallel");
+      run_with_metrics(BackendKind::kSerial);
+  const telemetry::MetricsSnapshot simd = run_with_metrics(BackendKind::kSimd);
+  EXPECT_EQ(simd.labels.at("backend.name"), "simd");
   EXPECT_EQ(serial.labels.at("backend.name"), "serial");
-  for (const auto& [name, value] : parallel.counters) {
+  for (const auto& [name, value] : simd.counters) {
     if (name.starts_with("pool.") || name.starts_with("backend.")) continue;
     ASSERT_TRUE(serial.counters.contains(name)) << name;
     EXPECT_EQ(serial.counters.at(name), value) << name;
   }
 }
 
-TEST(TelemetryDeterminismTest, SpanTreesIdenticalAcrossBackendsAndWorkers) {
-  const std::string serial = span_tree_signature(BackendKind::kSerial, 1);
+TEST(TelemetryDeterminismTest, SpanTreesIdenticalAcrossBackends) {
+  const std::string serial = span_tree_signature(BackendKind::kSerial);
   ASSERT_FALSE(serial.empty());
   EXPECT_NE(serial.find("fol1.decompose|span"), std::string::npos);
   EXPECT_NE(serial.find("hashing.multi_insert|span"), std::string::npos);
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const std::string parallel =
-        span_tree_signature(BackendKind::kParallel, workers);
-    EXPECT_EQ(serial, parallel)
-        << "span tree diverged at " << workers << " workers";
-  }
-}
-
-TEST(TelemetryDeterminismTest, ParallelTraceHasWorkerTracksFlowsAndCounters) {
-  telemetry::SpanTracer tracer;
-  {
-    const telemetry::ScopedTracer scoped(tracer);
-    VectorMachine m = make_telemetry_machine(BackendKind::kParallel, 8);
-    telemetry_workload(m);
-    // The machine (and its pool) is destroyed before export: the joins
-    // provide the quiescence the tracer's export contract requires.
-  }
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  const JsonValue doc = JsonValue::parse(os.str());
-
-  std::set<std::string> thread_names;
-  std::set<double> named_tids;
-  std::set<double> flow_start_ids;
-  std::set<double> flow_end_ids;
-  std::set<std::string> counter_names;
-  std::set<double> span_tids;
-  std::set<double> chunk_tids;
-  for (const JsonValue& ev : doc.find("traceEvents")->as_array()) {
-    const std::string ph = ev.find("ph")->as_string();
-    ASSERT_NE(ev.find("name"), nullptr);
-    ASSERT_NE(ev.find("tid"), nullptr);
-    EXPECT_EQ(ev.find("pid")->as_number(), 1.0);
-    if (ph == "M") {
-      if (ev.find("name")->as_string() == "thread_name") {
-        thread_names.insert(ev.find("args")->find("name")->as_string());
-        named_tids.insert(ev.find("tid")->as_number());
-      }
-      continue;
-    }
-    // Every non-metadata event is timestamped and categorized.
-    ASSERT_NE(ev.find("ts"), nullptr);
-    const std::string cat = ev.find("cat")->as_string();
-    if (ph == "s") {
-      EXPECT_EQ(cat, "flow");
-      flow_start_ids.insert(ev.find("id")->as_number());
-    } else if (ph == "f") {
-      EXPECT_EQ(cat, "flow");
-      EXPECT_EQ(ev.find("bp")->as_string(), "e");
-      flow_end_ids.insert(ev.find("id")->as_number());
-    } else if (ph == "C") {
-      EXPECT_EQ(cat, "counter");
-      ASSERT_NE(ev.find("args")->find("value"), nullptr);
-      counter_names.insert(ev.find("name")->as_string());
-    } else {
-      ASSERT_EQ(ph, "X");
-      ASSERT_NE(ev.find("dur"), nullptr);
-      EXPECT_TRUE(cat == "span" || cat == "op" || cat == "chunk") << cat;
-      if (cat == "span" || cat == "op") {
-        span_tids.insert(ev.find("tid")->as_number());
-      } else {
-        chunk_tids.insert(ev.find("tid")->as_number());
-      }
-    }
-  }
-
-  // Acceptance: distinct named tracks for main plus the pool workers.
-  EXPECT_TRUE(thread_names.contains("main"));
-  std::size_t worker_tracks = 0;
-  for (const std::string& n : thread_names) {
-    if (n.rfind("worker-", 0) == 0) ++worker_tracks;
-  }
-  EXPECT_GE(worker_tracks, 4u);
-  EXPECT_GE(named_tids.size(), 5u);
-  EXPECT_GE(tracer.track_count(), 5u);
-
-  // Deterministic span/op events all ride the issuing ("main") thread;
-  // chunk slices fan out across the worker tracks.
-  ASSERT_EQ(span_tids.size(), 1u);
-  EXPECT_FALSE(chunk_tids.empty());
-  EXPECT_GT(chunk_tids.size(), 1u);
-
-  // Flow arrows: every finish id was started, and at least one flush
-  // produced arrows at all.
-  EXPECT_FALSE(flow_start_ids.empty());
-  EXPECT_FALSE(flow_end_ids.empty());
-  for (const double id : flow_end_ids) {
-    EXPECT_TRUE(flow_start_ids.contains(id)) << "unmatched flow id " << id;
-  }
-
-  // Counter tracks: batch occupancy and pool occupancy at minimum.
-  EXPECT_GE(counter_names.size(), 2u);
-  EXPECT_TRUE(counter_names.contains("pool.occupancy"));
+  EXPECT_EQ(serial, span_tree_signature(BackendKind::kSimd));
 }
 
 // ---- fused vs unfused differential fuzz ------------------------------------
 //
 // The fused scatter_gather_eq / partition kernels are an optimization, not a
-// semantics change: for every ScatterOrder, every backend, every worker
-// count, and audit on or off, a machine with config.fuse=true must produce
+// semantics change: for every ScatterOrder, the serial backend and the SIMD
+// backend at every ISA level, and audit on or off, a machine with
+// config.fuse=true must produce
 // bit-identical outputs and memory images to the same machine running the
 // unfused reference composition (FOLVEC_FUSE=0). Chimes are NOT compared
 // across fuse modes — charging fused ops less is the point — but they must
 // be identical across backends and audit settings for a fixed fuse mode.
 
 /// Machine whose fuse flag is forced rather than inherited from the env.
-VectorMachine make_fused_machine(ScatterOrder order, std::size_t threads,
-                                 bool audit, bool fuse) {
+MachineConfig fused_config(ScatterOrder order, BackendKind backend,
+                           bool audit, bool fuse) {
   MachineConfig cfg;
   cfg.scatter_order = order;
   cfg.shuffle_seed = 4242;
   cfg.audit = audit;
   cfg.fuse = fuse;
-  if (threads == 0) {
-    cfg.backend = BackendKind::kSerial;
-  } else {
-    cfg.backend = BackendKind::kParallel;
-    cfg.backend_threads = threads;
-    cfg.backend_grain = 8;
-  }
-  return VectorMachine(cfg);
+  cfg.backend = backend;
+  return cfg;
+}
+
+VectorMachine make_fused_machine(ScatterOrder order, BackendKind backend,
+                                 bool audit, bool fuse) {
+  return VectorMachine(fused_config(order, backend, audit, fuse));
 }
 
 /// Exercises the fused entry points plus their pooled *_into variants and
@@ -644,14 +412,33 @@ WordVec run_fused_script(VectorMachine& m, const Inputs& in) {
   return digest;
 }
 
-class FusedDiffTest
-    : public ::testing::TestWithParam<
-          std::tuple<ScatterOrder, std::size_t, bool>> {
+/// The execution engine a FusedDiffTest instance runs: the serial backend,
+/// or the SIMD backend forced to one ISA level.
+struct FusedEngine {
+  BackendKind backend;
+  SimdLevel level;
+};
+
+using FusedDiffParam = std::tuple<ScatterOrder, FusedEngine, bool>;
+
+class FusedDiffTest : public ::testing::TestWithParam<FusedDiffParam> {
  protected:
+  void SetUp() override {
+    if (engine().backend == BackendKind::kSimd &&
+        !simd_level_supported(engine().level)) {
+      GTEST_SKIP() << simd_level_name(engine().level)
+                   << " is not available on this host/build";
+    }
+  }
   ScatterOrder order() const { return std::get<0>(GetParam()); }
-  /// 0 = serial backend; otherwise parallel with this worker count.
-  std::size_t threads() const { return std::get<1>(GetParam()); }
+  FusedEngine engine() const { return std::get<1>(GetParam()); }
   bool audit() const { return std::get<2>(GetParam()); }
+
+  VectorMachine make_machine(bool fuse) const {
+    MachineConfig cfg = fused_config(order(), engine().backend, audit(), fuse);
+    if (engine().backend == BackendKind::kSimd) cfg.simd_level = engine().level;
+    return VectorMachine(cfg);
+  }
 };
 
 TEST_P(FusedDiffTest, FusedBitIdenticalToUnfusedComposition) {
@@ -659,10 +446,8 @@ TEST_P(FusedDiffTest, FusedBitIdenticalToUnfusedComposition) {
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
         std::size_t{257}, std::size_t{1000}}) {
     const Inputs in(n, 0xf05ed000 + n);
-    VectorMachine fused = make_fused_machine(order(), threads(), audit(),
-                                             /*fuse=*/true);
-    VectorMachine unfused = make_fused_machine(order(), threads(), audit(),
-                                               /*fuse=*/false);
+    VectorMachine fused = make_machine(/*fuse=*/true);
+    VectorMachine unfused = make_machine(/*fuse=*/false);
     const WordVec want = run_fused_script(unfused, in);
     const WordVec got = run_fused_script(fused, in);
     ASSERT_EQ(want, got) << "fused digest diverged at n=" << n;
@@ -671,42 +456,51 @@ TEST_P(FusedDiffTest, FusedBitIdenticalToUnfusedComposition) {
 
 TEST_P(FusedDiffTest, ChimesInvariantAcrossBackendAndAudit) {
   // For a fixed fuse mode the chime stream is part of the deterministic
-  // contract: serial, parallel at any width, audit on or off — identical.
+  // contract: serial or SIMD at any level, audit on or off — identical.
   for (const bool fuse : {true, false}) {
     const Inputs in(513, 0xc41135);
-    VectorMachine base = make_fused_machine(order(), 0, false, fuse);
+    VectorMachine base =
+        make_fused_machine(order(), BackendKind::kSerial, false, fuse);
     const WordVec base_digest = run_fused_script(base, in);
-    VectorMachine other =
-        make_fused_machine(order(), threads(), audit(), fuse);
+    VectorMachine other = make_machine(fuse);
     const WordVec other_digest = run_fused_script(other, in);
     ASSERT_EQ(base_digest, other_digest);
     expect_same_costs(base.cost(), other.cost());
   }
 }
 
-using FusedDiffParam = std::tuple<ScatterOrder, std::size_t, bool>;
+/// "Avx512" for SimdLevel::kAvx512: the level name with a capital initial,
+/// for test instance names.
+std::string level_param_name(SimdLevel level) {
+  std::string name = simd_level_name(level);
+  name[0] = static_cast<char>(std::toupper(name[0]));
+  return name;
+}
 
 std::string fused_param_name(
     const ::testing::TestParamInfo<FusedDiffParam>& info) {
   static constexpr const char* kFusedOrderNames[] = {"Forward", "Reverse",
                                                      "Shuffled"};
-  const std::size_t workers = std::get<1>(info.param);
+  const FusedEngine engine = std::get<1>(info.param);
   return std::string(kFusedOrderNames[static_cast<std::size_t>(
              std::get<0>(info.param))]) +
-         (workers == 0 ? std::string("xSerial")
-                       : "xParallel" + std::to_string(workers)) +
+         (engine.backend == BackendKind::kSimd
+              ? "xSimd" + level_param_name(engine.level)
+              : std::string("xSerial")) +
          (std::get<2>(info.param) ? "xAudit" : "xNoAudit");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, FusedDiffTest,
-    ::testing::Combine(::testing::Values(ScatterOrder::kForward,
-                                         ScatterOrder::kReverse,
-                                         ScatterOrder::kShuffled),
-                       ::testing::Values(std::size_t{0}, std::size_t{1},
-                                         std::size_t{2}, std::size_t{4},
-                                         std::size_t{8}),
-                       ::testing::Bool()),
+    ::testing::Combine(
+        ::testing::Values(ScatterOrder::kForward, ScatterOrder::kReverse,
+                          ScatterOrder::kShuffled),
+        ::testing::Values(FusedEngine{BackendKind::kSerial, SimdLevel::kScalar},
+                          FusedEngine{BackendKind::kSimd, SimdLevel::kScalar},
+                          FusedEngine{BackendKind::kSimd, SimdLevel::kNeon},
+                          FusedEngine{BackendKind::kSimd, SimdLevel::kAvx2},
+                          FusedEngine{BackendKind::kSimd, SimdLevel::kAvx512}),
+        ::testing::Bool()),
     fused_param_name);
 
 // ---- SIMD backend differential fuzz ----------------------------------------
@@ -724,11 +518,9 @@ std::string simd_param_name(
     const ::testing::TestParamInfo<SimdDiffParam>& info) {
   static constexpr const char* kOrderNames[] = {"Forward", "Reverse",
                                                 "Shuffled"};
-  std::string level = simd_level_name(std::get<1>(info.param));
-  level[0] = static_cast<char>(std::toupper(level[0]));
   return std::string(
              kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
-         "x" + level;
+         "x" + level_param_name(std::get<1>(info.param));
 }
 
 class SimdDiffTest : public ::testing::TestWithParam<SimdDiffParam> {
@@ -777,8 +569,8 @@ TEST_P(SimdDiffTest, FusedBitIdenticalAcrossFuseAndAudit) {
       simd_cfg.simd_level = level();
       VectorMachine serial(serial_cfg);
       VectorMachine simd(simd_cfg);
-      // Audit must NOT pin the SIMD backend to serial: the kernels run on
-      // the issuing thread, so the audited machine stays vectorized.
+      // The audited machine stays vectorized: the kernels run on the
+      // issuing thread, bit-identical to serial.
       ASSERT_STREQ(simd.backend_name(), "simd");
       const WordVec want = run_fused_script(serial, in);
       const WordVec got = run_fused_script(simd, in);
@@ -886,21 +678,73 @@ TEST_P(SimdDiffTest, DivModScalarAdversarialValues) {
   }
 }
 
-TEST_P(SimdDiffTest, ComposesWithParallelBackend) {
-  // parallel+simd: pool chunks run the SIMD inner loops. Must match serial
-  // for the full script at multiple worker counts.
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const Inputs in(1000, 0xc0de5000 + threads);
-    VectorMachine serial = make_serial(order(), 99);
-    VectorMachine both = make_parallel_simd(order(), 99, threads, level());
-    ASSERT_STREQ(both.backend_name(), "parallel+simd");
-    EXPECT_EQ(both.backend_workers(), threads);
-    ASSERT_EQ(both.active_simd_level(), level());
-    const WordVec want = run_script(serial, in);
-    const WordVec got = run_script(both, in);
-    ASSERT_EQ(want, got) << "threads=" << threads;
-    expect_same_costs(serial.cost(), both.cost());
+TEST_P(SimdDiffTest, BackendScatterMatchesReferenceForEveryTraversal) {
+  // The backend entry point directly, masked and unmasked, under all three
+  // traversals (kExplicit is what ScatterOrder::kShuffled issues).
+  SimdBackend simd(simd_kernels_for(level()));
+  Xoshiro256 rng(0x5ca77e2);
+  for (int round = 0; round < 50; ++round) {
+    const auto n = static_cast<std::size_t>(rng.in_range(1, 1200));
+    const auto table_size =
+        static_cast<std::size_t>(rng.in_range(1, static_cast<Word>(n)));
+    WordVec idx(n);
+    WordVec vals(n);
+    for (auto& x : idx) {
+      x = rng.in_range(0, static_cast<Word>(table_size) - 1);
+    }
+    for (auto& x : vals) x = rng.in_range(-100000, 100000);
+    std::vector<std::uint8_t> mask(n);
+    for (auto& b : mask) b = static_cast<std::uint8_t>(rng.below(4) != 0);
+    const std::uint8_t* m = round % 2 == 0 ? mask.data() : nullptr;
+    std::vector<std::size_t> order;
+    for (const ScatterTraversal traversal :
+         {ScatterTraversal::kForward, ScatterTraversal::kReverse,
+          ScatterTraversal::kExplicit}) {
+      order.clear();
+      if (traversal == ScatterTraversal::kExplicit) {
+        order.resize(n);
+        for (std::size_t i = 0; i < n; ++i) order[i] = i;
+        shuffle(order, rng);
+      }
+      WordVec want(table_size, -1);
+      apply_scatter_reference(want, idx, vals, m, traversal, order);
+      WordVec got(table_size, -1);
+      simd.scatter(got, idx, vals, m, traversal, order);
+      ASSERT_EQ(want, got) << "n=" << n << " areas=" << table_size
+                           << " traversal=" << static_cast<int>(traversal);
+    }
   }
+}
+
+TEST_P(SimdDiffTest, FirstOobReturnsTheFirstActiveHit) {
+  // check_indices only tests for npos, but the backend contract is the
+  // lowest offending lane: negative and too-large indices, masked lanes
+  // exempt.
+  SerialBackend serial;
+  SimdBackend simd(simd_kernels_for(level()));
+  Xoshiro256 rng(0xf00b);
+  for (int round = 0; round < 60; ++round) {
+    const auto n = static_cast<std::size_t>(rng.in_range(1, 5000));
+    WordVec idx(n);
+    for (auto& x : idx) x = rng.in_range(0, 127);
+    const int oob_lanes = static_cast<int>(rng.below(4));
+    for (int k = 0; k < oob_lanes; ++k) {
+      const auto pos =
+          static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)));
+      idx[pos] = (k % 2 == 0) ? 128 + rng.in_range(0, 100) : -1;
+    }
+    ASSERT_EQ(simd.first_oob(idx, 128, nullptr),
+              serial.first_oob(idx, 128, nullptr))
+        << "n=" << n;
+  }
+  WordVec idx(4096, 1);
+  std::vector<std::uint8_t> mask(idx.size(), 1);
+  idx[100] = 500;  // masked off: not a hit
+  mask[100] = 0;
+  idx[3000] = 600;  // active: the hit
+  EXPECT_EQ(serial.first_oob(idx, 256, mask.data()), 3000u);
+  EXPECT_EQ(simd.first_oob(idx, 256, mask.data()), 3000u);
+  EXPECT_EQ(simd.first_oob(idx, 256, nullptr), 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -956,83 +800,134 @@ TEST(SimdMixedLevelTest, AllSupportedLevelsProduceOneDigest) {
   }
 }
 
-// ---- merge-strategy scaling fuzz -------------------------------------------
+// ---- vector-length tail fuzz -----------------------------------------------
 //
-// The scatter merge strategy (single-pass claim intervals vs two-pass
-// owner-computes) is a host-side choice: for every ScatterOrder, worker
-// count, and fuse mode, a machine forced onto either merge must be
-// bit-identical — outputs, memory images, and chimes — to the serial
-// reference.
+// Every SIMD kernel runs a main loop over whole registers (2 words on NEON,
+// 4 on AVX2, 8 on AVX-512; 16, 32 or 64 mask bytes for the mask kernels)
+// and finishes the remaining lanes in a tail. These lengths sit on both
+// sides of each of those boundaries, so each tail path of each kernel is
+// checked against the serial reference: the full primitive script, the
+// fused script in either fuse and audit mode, and the fault raised by an
+// out-of-bounds lane that falls in the tail.
 
-using MergeScalingParam =
-    std::tuple<ScatterOrder, std::size_t, MergeStrategy>;
+using TailDiffParam = std::tuple<SimdLevel, std::size_t>;
 
-class MergeScalingDiffTest
-    : public ::testing::TestWithParam<MergeScalingParam> {
+class TailLengthDiffTest : public ::testing::TestWithParam<TailDiffParam> {
  protected:
-  ScatterOrder order() const { return std::get<0>(GetParam()); }
-  std::size_t threads() const { return std::get<1>(GetParam()); }
-  MergeStrategy merge() const { return std::get<2>(GetParam()); }
+  void SetUp() override {
+    if (!simd_level_supported(level())) {
+      GTEST_SKIP() << simd_level_name(level())
+                   << " is not available on this host/build";
+    }
+  }
+  SimdLevel level() const { return std::get<0>(GetParam()); }
+  std::size_t n() const { return std::get<1>(GetParam()); }
 };
 
-TEST_P(MergeScalingDiffTest, FullScriptBitIdenticalToSerial) {
-  for (const std::size_t n : {std::size_t{257}, std::size_t{1000}}) {
-    const Inputs in(n, 0x4e46e000 + n);
-    VectorMachine serial = make_serial(order(), 99);
-    VectorMachine parallel =
-        make_parallel(order(), 99, threads(), /*grain=*/8, merge());
+constexpr ScatterOrder kAllOrders[] = {
+    ScatterOrder::kForward, ScatterOrder::kReverse, ScatterOrder::kShuffled};
+
+TEST_P(TailLengthDiffTest, FullScriptBitIdenticalToSerial) {
+  const Inputs in(n(), 0x7a11d000 + n());
+  for (const ScatterOrder order : kAllOrders) {
+    VectorMachine serial = make_serial(order, 99);
+    VectorMachine simd = make_simd(order, 99, level());
     const WordVec want = run_script(serial, in);
-    const WordVec got = run_script(parallel, in);
-    ASSERT_EQ(want, got) << "digest diverged at n=" << n;
-    expect_same_costs(serial.cost(), parallel.cost());
+    const WordVec got = run_script(simd, in);
+    ASSERT_EQ(want, got) << "order=" << static_cast<int>(order);
+    expect_same_costs(serial.cost(), simd.cost());
   }
 }
 
-TEST_P(MergeScalingDiffTest, FusedScriptBitIdenticalForEitherFuseMode) {
-  for (const bool fuse : {true, false}) {
-    const Inputs in(600, 0x4e46ef);
-    MachineConfig serial_cfg;
-    serial_cfg.scatter_order = order();
-    serial_cfg.shuffle_seed = 4242;
-    serial_cfg.audit = false;
-    serial_cfg.fuse = fuse;
-    serial_cfg.backend = BackendKind::kSerial;
-    MachineConfig par_cfg = serial_cfg;
-    par_cfg.backend = BackendKind::kParallel;
-    par_cfg.backend_threads = threads();
-    par_cfg.backend_grain = 8;
-    par_cfg.merge_strategy = merge();
-    VectorMachine serial(serial_cfg);
-    VectorMachine parallel(par_cfg);
-    const WordVec want = run_fused_script(serial, in);
-    const WordVec got = run_fused_script(parallel, in);
-    ASSERT_EQ(want, got) << "fuse=" << fuse;
-    expect_same_costs(serial.cost(), parallel.cost());
+TEST_P(TailLengthDiffTest, FusedScriptBitIdenticalToSerial) {
+  const Inputs in(n(), 0x7a11f000 + n());
+  for (const ScatterOrder order : kAllOrders) {
+    for (const bool audit : {false, true}) {
+      for (const bool fuse : {true, false}) {
+        const MachineConfig serial_cfg =
+            fused_config(order, BackendKind::kSerial, audit, fuse);
+        MachineConfig simd_cfg =
+            fused_config(order, BackendKind::kSimd, audit, fuse);
+        simd_cfg.simd_level = level();
+        VectorMachine serial(serial_cfg);
+        VectorMachine simd(simd_cfg);
+        const WordVec want = run_fused_script(serial, in);
+        const WordVec got = run_fused_script(simd, in);
+        ASSERT_EQ(want, got) << "order=" << static_cast<int>(order)
+                             << " audit=" << audit << " fuse=" << fuse;
+        expect_same_costs(serial.cost(), simd.cost());
+      }
+    }
   }
 }
 
-std::string merge_scaling_param_name(
-    const ::testing::TestParamInfo<MergeScalingParam>& info) {
-  static constexpr const char* kOrderNames[] = {"Forward", "Reverse",
-                                                "Shuffled"};
-  static constexpr const char* kMergeNames[] = {"Auto", "SinglePass",
-                                                "TwoPass"};
-  return std::string(
-             kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
-         "x" + std::to_string(std::get<1>(info.param)) + "threadsx" +
-         kMergeNames[static_cast<std::size_t>(std::get<2>(info.param))];
+TEST_P(TailLengthDiffTest, OutOfBoundsLaneFaultsLikeSerial) {
+  // One bad lane at a time — the last lane (always in the tail), the middle
+  // lane, lane 0 — then all three at once: both backends name the same
+  // lowest offending lane, both throw on the active bad lane, and both let
+  // a masked-off bad lane through with identical results.
+  const std::size_t len = n();
+  SerialBackend serial_backend;
+  SimdBackend simd_backend(simd_kernels_for(level()));
+  const WordVec table(16, 5);
+  const WordVec vals(len, 1);
+  const std::vector<std::vector<std::size_t>> bad_sets = {
+      {len - 1}, {len / 2}, {0}, {0, len / 2, len - 1}};
+  for (const std::vector<std::size_t>& bad : bad_sets) {
+    WordVec idx(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      idx[i] = static_cast<Word>(i % table.size());
+    }
+    for (const std::size_t lane : bad) {
+      idx[lane] = lane % 2 == 0 ? Word{16} : Word{-1};
+    }
+    const std::size_t first = *std::min_element(bad.begin(), bad.end());
+    EXPECT_EQ(serial_backend.first_oob(idx, table.size(), nullptr), first);
+    EXPECT_EQ(simd_backend.first_oob(idx, table.size(), nullptr), first);
+
+    VectorMachine serial = make_serial(ScatterOrder::kForward, 3);
+    VectorMachine simd = make_simd(ScatterOrder::kForward, 3, level());
+    EXPECT_THROW(serial.gather(table, idx), PreconditionError);
+    EXPECT_THROW(simd.gather(table, idx), PreconditionError);
+    WordVec table_s = table;
+    WordVec table_v = table;
+    EXPECT_THROW(serial.scatter(table_s, idx, vals), PreconditionError);
+    EXPECT_THROW(simd.scatter(table_v, idx, vals), PreconditionError);
+    EXPECT_EQ(table_s, table_v);
+
+    Mask mask(len, 1);
+    for (const std::size_t lane : bad) mask[lane] = 0;
+    EXPECT_EQ(serial_backend.first_oob(idx, table.size(), mask.bytes().data()),
+              Backend::npos);
+    EXPECT_EQ(simd_backend.first_oob(idx, table.size(), mask.bytes().data()),
+              Backend::npos);
+    EXPECT_EQ(serial.gather_masked(table, idx, mask, -1),
+              simd.gather_masked(table, idx, mask, -1));
+    serial.scatter_masked(table_s, idx, vals, mask);
+    simd.scatter_masked(table_v, idx, vals, mask);
+    EXPECT_EQ(table_s, table_v);
+  }
+}
+
+std::string tail_param_name(
+    const ::testing::TestParamInfo<TailDiffParam>& info) {
+  return level_param_name(std::get<0>(info.param)) + "xN" +
+         std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllOrdersWorkersMerges, MergeScalingDiffTest,
-    ::testing::Combine(::testing::Values(ScatterOrder::kForward,
-                                         ScatterOrder::kReverse,
-                                         ScatterOrder::kShuffled),
-                       ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8}),
-                       ::testing::Values(MergeStrategy::kSinglePass,
-                                         MergeStrategy::kTwoPass)),
-    merge_scaling_param_name);
+    AllLevelsTailLengths, TailLengthDiffTest,
+    ::testing::Combine(
+        ::testing::Values(SimdLevel::kScalar, SimdLevel::kNeon,
+                          SimdLevel::kAvx2, SimdLevel::kAvx512),
+        ::testing::Values(std::size_t{3}, std::size_t{4}, std::size_t{5},
+                          std::size_t{7}, std::size_t{8}, std::size_t{9},
+                          std::size_t{15}, std::size_t{16}, std::size_t{17},
+                          std::size_t{31}, std::size_t{32}, std::size_t{33},
+                          std::size_t{63}, std::size_t{64}, std::size_t{65},
+                          std::size_t{77}, std::size_t{127}, std::size_t{128},
+                          std::size_t{129}, std::size_t{255})),
+    tail_param_name);
 
 TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
   // An out-of-bounds INACTIVE lane: the masked scatter skips it, but the
@@ -1040,7 +935,8 @@ TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
   // the unfused composition does at its gather — i.e. with the scatter's
   // stores already landed.
   for (const bool fuse : {true, false}) {
-    VectorMachine m = make_fused_machine(ScatterOrder::kForward, 0,
+    VectorMachine m = make_fused_machine(ScatterOrder::kForward,
+                                         BackendKind::kSerial,
                                          /*audit=*/false, fuse);
     WordVec table(16, -1);
     WordVec idx{3, 99, 5};
@@ -1051,41 +947,6 @@ TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
     EXPECT_EQ(table[3], 10);
     EXPECT_EQ(table[5], 12);
   }
-}
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<int> hits(1000, 0);
-  pool.run(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, RethrowsLowestTaskException) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    try {
-      pool.run(64, [&](std::size_t i) {
-        if (i % 2 == 1) {
-          throw std::runtime_error("task " + std::to_string(i));
-        }
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "task 1");
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossJobs) {
-  ThreadPool pool(3);
-  std::size_t total = 0;
-  for (int job = 0; job < 100; ++job) {
-    std::vector<std::size_t> marks(17, 0);
-    pool.run(marks.size(), [&](std::size_t i) { marks[i] = i; });
-    for (std::size_t i = 0; i < marks.size(); ++i) total += marks[i];
-  }
-  EXPECT_EQ(total, 100u * (16u * 17u / 2u));
 }
 
 }  // namespace

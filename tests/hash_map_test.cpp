@@ -207,8 +207,7 @@ struct ProbeLoopCase {
 std::string probe_loop_case_name(
     const ::testing::TestParamInfo<ProbeLoopCase>& info) {
   static const char* const kOrders[] = {"Forward", "Reverse", "Shuffled"};
-  static const char* const kBackends[] = {"Serial", "Parallel", "Simd",
-                                          "ParallelSimd"};
+  static const char* const kBackends[] = {"Serial", "Simd"};
   return std::string(kOrders[static_cast<int>(info.param.order)]) +
          kBackends[static_cast<int>(info.param.backend)] +
          (info.param.audit ? "Audit" : "");
@@ -223,8 +222,6 @@ class VectorHashMapProbeLoopTest
     MachineConfig cfg;
     cfg.scatter_order = GetParam().order;
     cfg.backend = GetParam().backend;
-    cfg.backend_threads = 2;
-    cfg.backend_grain = 64;  // let the parallel backend split short batches
     cfg.audit = GetParam().audit;
     return cfg;
   }
@@ -310,12 +307,10 @@ INSTANTIATE_TEST_SUITE_P(
         ProbeLoopCase{ScatterOrder::kForward, BackendKind::kSimd, false},
         ProbeLoopCase{ScatterOrder::kReverse, BackendKind::kSimd, false},
         ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kSimd, false},
-        ProbeLoopCase{ScatterOrder::kForward, BackendKind::kParallel, false},
-        ProbeLoopCase{ScatterOrder::kReverse, BackendKind::kParallel, false},
-        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kParallel, false},
         // ScatterCheck over the key race, the election label rounds and
         // the erase retirements, whatever the environment says.
-        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kSerial, true}),
+        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kSerial, true},
+        ProbeLoopCase{ScatterOrder::kShuffled, BackendKind::kSimd, true}),
     probe_loop_case_name);
 
 // ---- retry idempotency around the gcd probe-cycle hazard --------------------

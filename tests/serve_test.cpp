@@ -1,7 +1,7 @@
 // Differential tests for the serving layer (src/serve/).
 //
-// The pivotal claim: a ShardedMap — any shard count, any backend, any
-// worker count — is observationally identical to one reference
+// The pivotal claim: a ShardedMap — any shard count, either backend — is
+// observationally identical to one reference
 // VectorHashMap driven serially. Sharding, Bloom short-circuits, and the
 // batch server's run splitting are all pure execution strategy; the
 // key-value semantics (including last-lane-wins on duplicates) must not
@@ -32,15 +32,10 @@ using vm::MachineConfig;
 using vm::Word;
 using vm::WordVec;
 
-MachineConfig backend_config(BackendKind kind, std::size_t workers) {
+MachineConfig backend_config(BackendKind kind) {
   MachineConfig cfg;
   cfg.backend = kind;
-  cfg.backend_threads = workers;
-  // Serve batches shard into short sub-batches; drop the grain so the
-  // parallel backends actually split them instead of degenerating to the
-  // serial path.
-  cfg.backend_grain = 8;
-  cfg.audit = false;  // audit pins parallel to serial; we want the real path
+  cfg.audit = false;
   return cfg;
 }
 
@@ -80,7 +75,7 @@ std::vector<WorkloadOp> make_workload(std::uint64_t seed, std::size_t n) {
 /// reference every configuration must match.
 class ReferenceMap {
  public:
-  ReferenceMap() : machine_(backend_config(BackendKind::kSerial, 1)), map_(64) {}
+  ReferenceMap() : machine_(backend_config(BackendKind::kSerial)), map_(64) {}
 
   void upsert(std::span<const Word> keys, std::span<const Word> values) {
     map_.upsert_batch(machine_, keys, values);
@@ -153,19 +148,12 @@ void run_differential(ShardedMap& sharded, std::uint64_t seed,
 
 struct DiffParam {
   BackendKind backend;
-  std::size_t workers;
   std::size_t shards;
 };
 
 std::string param_name(const testing::TestParamInfo<DiffParam>& info) {
-  const char* backend = nullptr;
-  switch (info.param.backend) {
-    case BackendKind::kSerial: backend = "serial"; break;
-    case BackendKind::kParallel: backend = "parallel"; break;
-    case BackendKind::kSimd: backend = "simd"; break;
-    case BackendKind::kParallelSimd: backend = "parallel_simd"; break;
-  }
-  return std::string(backend) + "_w" + std::to_string(info.param.workers) +
+  return std::string(info.param.backend == BackendKind::kSimd ? "simd"
+                                                               : "serial") +
          "_s" + std::to_string(info.param.shards);
 }
 
@@ -174,7 +162,7 @@ class ShardedDiffTest : public testing::TestWithParam<DiffParam> {};
 TEST_P(ShardedDiffTest, MatchesReferenceMap) {
   ShardedMapConfig cfg;
   cfg.shards = GetParam().shards;
-  cfg.machine = backend_config(GetParam().backend, GetParam().workers);
+  cfg.machine = backend_config(GetParam().backend);
   ShardedMap sharded(cfg);
   run_differential(sharded, /*seed=*/41, /*n_ops=*/3000, /*batch_size=*/64);
 }
@@ -183,7 +171,7 @@ TEST_P(ShardedDiffTest, MatchesReferenceWithBloomDisabled) {
   ShardedMapConfig cfg;
   cfg.shards = GetParam().shards;
   cfg.bloom = false;
-  cfg.machine = backend_config(GetParam().backend, GetParam().workers);
+  cfg.machine = backend_config(GetParam().backend);
   ShardedMap sharded(cfg);
   run_differential(sharded, /*seed=*/43, /*n_ops=*/1500, /*batch_size=*/48);
   EXPECT_EQ(sharded.bloom_skips(), 0u);
@@ -191,18 +179,10 @@ TEST_P(ShardedDiffTest, MatchesReferenceWithBloomDisabled) {
 
 std::vector<DiffParam> diff_params() {
   std::vector<DiffParam> params;
-  for (const BackendKind backend :
-       {BackendKind::kSerial, BackendKind::kParallel, BackendKind::kSimd,
-        BackendKind::kParallelSimd}) {
-    const bool pooled = backend == BackendKind::kParallel ||
-                        backend == BackendKind::kParallelSimd;
-    for (const std::size_t workers :
-         pooled ? std::vector<std::size_t>{1, 2, 8}
-                : std::vector<std::size_t>{1}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{8}}) {
-        params.push_back({backend, workers, shards});
-      }
+  for (const BackendKind backend : {BackendKind::kSerial, BackendKind::kSimd}) {
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      params.push_back({backend, shards});
     }
   }
   return params;

@@ -68,10 +68,14 @@ TEST(SimdDispatchTest, BackendDefaultParsesSimdSpellings) {
   const ScopedEnv env("FOLVEC_BACKEND");
   ::setenv("FOLVEC_BACKEND", "simd", 1);
   EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSimd);
-  ::setenv("FOLVEC_BACKEND", "parallel+simd", 1);
-  EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kParallelSimd);
-  ::setenv("FOLVEC_BACKEND", "SIMD+Parallel", 1);
-  EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kParallelSimd);
+  ::setenv("FOLVEC_BACKEND", " SIMD ", 1);
+  EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSimd);
+  // The removed pooled spellings fail loudly instead of picking a backend.
+  for (const char* removed : {"parallel+simd", "SIMD+Parallel"}) {
+    ::setenv("FOLVEC_BACKEND", removed, 1);
+    EXPECT_THROW(MachineConfig::backend_default(), PreconditionError)
+        << '"' << removed << '"';
+  }
 }
 
 TEST(SimdDispatchTest, HostLevelIsSupportedAndResolvesAuto) {
@@ -123,7 +127,6 @@ TEST(SimdDispatchTest, ForcedScalarMachineReportsItself) {
   cfg.simd_level = SimdLevel::kScalar;
   VectorMachine m(cfg);
   EXPECT_STREQ(m.backend_name(), "simd");
-  EXPECT_EQ(m.backend_workers(), 1u);
   EXPECT_EQ(m.active_simd_level(), SimdLevel::kScalar);
   EXPECT_EQ(m.simd_dispatches(), 0u);
   const WordVec a = m.iota(100);
@@ -141,22 +144,15 @@ TEST(SimdDispatchTest, SerialMachineNeverDispatchesSimd) {
   EXPECT_EQ(m.simd_dispatches(), 0u);
 }
 
-TEST(SimdDispatchTest, AuditKeepsSimdButPinsParallelSimdToSimd) {
+TEST(SimdDispatchTest, AuditKeepsSimd) {
   // The SIMD kernels run on the issuing thread and are bit-identical, so an
-  // audited machine stays vectorized; only the thread pool is pinned away.
+  // audited machine stays vectorized.
   MachineConfig cfg;
   cfg.backend = BackendKind::kSimd;
   cfg.audit = true;
   const VectorMachine simd(cfg);
   EXPECT_STREQ(simd.backend_name(), "simd");
-
-  MachineConfig both_cfg;
-  both_cfg.backend = BackendKind::kParallelSimd;
-  both_cfg.backend_threads = 4;
-  both_cfg.audit = true;
-  const VectorMachine both(both_cfg);
-  EXPECT_STREQ(both.backend_name(), "simd");
-  EXPECT_EQ(both.backend_workers(), 1u);
+  EXPECT_TRUE(simd.audit_enabled());
 }
 
 TEST(SimdDispatchTest, TelemetryCarriesLevelLabelAndDispatchCounter) {
@@ -175,8 +171,8 @@ TEST(SimdDispatchTest, TelemetryCarriesLevelLabelAndDispatchCounter) {
   const telemetry::MetricsSnapshot snap = registry.snapshot();
   ASSERT_TRUE(snap.labels.contains("backend.simd_level"));
   EXPECT_EQ(snap.labels.at("backend.simd_level"), level_name);
-  ASSERT_TRUE(snap.labels.contains("backend.requested"));
-  EXPECT_EQ(snap.labels.at("backend.requested"), "simd");
+  ASSERT_TRUE(snap.labels.contains("backend.name"));
+  EXPECT_EQ(snap.labels.at("backend.name"), "simd");
   const std::string counter =
       std::string("backend.simd.dispatch.") + level_name;
   ASSERT_TRUE(snap.counters.contains(counter)) << counter;

@@ -387,19 +387,34 @@ TEST_F(MachineTest, AuditDefaultParsesOffSpellingsCaseInsensitively) {
   }
 }
 
-TEST_F(MachineTest, BackendDefaultParsesNamesAndBooleanSpellings) {
+TEST_F(MachineTest, BackendDefaultAcceptsOnlySerialAndSimd) {
   const ScopedEnv env("FOLVEC_BACKEND");
-  for (const char* serial : {"serial", "SERIAL", " Serial ", "0", "off",
-                             "false", "No"}) {
+  ::unsetenv("FOLVEC_BACKEND");
+  EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSerial);
+  for (const char* serial : {"serial", "SERIAL", " Serial "}) {
     ::setenv("FOLVEC_BACKEND", serial, 1);
     EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSerial)
         << '"' << serial << '"';
   }
-  for (const char* parallel : {"parallel", "Parallel", "1", "on", "true",
-                               "Yes"}) {
-    ::setenv("FOLVEC_BACKEND", parallel, 1);
-    EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kParallel)
-        << '"' << parallel << '"';
+  for (const char* simd : {"simd", "Simd", " SIMD "}) {
+    ::setenv("FOLVEC_BACKEND", simd, 1);
+    EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSimd)
+        << '"' << simd << '"';
+  }
+  // Removed backend names and boolean spellings (which once meant
+  // "parallel") fail loudly, naming both accepted values.
+  for (const char* bad :
+       {"parallel", "Parallel", "parallel+simd", "simd+parallel", "1", "on",
+        "true", "Yes", "0", "off", "false"}) {
+    ::setenv("FOLVEC_BACKEND", bad, 1);
+    try {
+      MachineConfig::backend_default();
+      ADD_FAILURE() << "accepted \"" << bad << '"';
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("serial"), std::string::npos) << what;
+      EXPECT_NE(what.find("simd"), std::string::npos) << what;
+    }
   }
 }
 
@@ -410,13 +425,9 @@ TEST_F(MachineTest, BackendIntrospection) {
   cfg.backend = BackendKind::kSerial;
   const VectorMachine s(cfg);
   EXPECT_STREQ(s.backend_name(), "serial");
-  EXPECT_EQ(s.backend_workers(), 1u);
-  cfg.backend = BackendKind::kParallel;
-  cfg.backend_threads = 3;
-  cfg.audit = false;
-  const VectorMachine p(cfg);
-  EXPECT_STREQ(p.backend_name(), "parallel");
-  EXPECT_EQ(p.backend_workers(), 3u);
+  cfg.backend = BackendKind::kSimd;
+  const VectorMachine v(cfg);
+  EXPECT_STREQ(v.backend_name(), "simd");
 }
 
 TEST_F(MachineTest, CostAccumulatorCountsInstructionsAndElements) {

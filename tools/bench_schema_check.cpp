@@ -104,33 +104,20 @@ class Checker {
 
   void check_backend(const JsonValue& backend) {
     const JsonValue* name = require(backend, "name", "backend");
+    const bool simd = name != nullptr && name->is_string() &&
+                      name->as_string() == "simd";
     if (name != nullptr &&
         (!name->is_string() ||
-         (name->as_string() != "serial" && name->as_string() != "parallel"))) {
-      fail("backend.name must be \"serial\" or \"parallel\"");
+         (name->as_string() != "serial" && name->as_string() != "simd"))) {
+      fail("backend.name must be \"serial\" or \"simd\"");
     }
-    const JsonValue* workers = require(backend, "workers", "backend");
-    if (workers != nullptr &&
-        (!workers->is_number() || workers->as_number() < 1)) {
-      fail("backend.workers must be a number >= 1");
+    const JsonValue* level = require(backend, "simd_level", "backend");
+    // The level travels with the backend: a string exactly for simd.
+    if (level != nullptr && simd && !level->is_string()) {
+      fail("backend.simd_level must name the level of the simd backend");
     }
-    const JsonValue* requested = require(backend, "requested", "backend");
-    if (requested != nullptr && !requested->is_string()) {
-      fail("backend.requested must be a string");
-    }
-    const JsonValue* pinned = require(backend, "pinned", "backend");
-    if (pinned != nullptr && !pinned->is_bool()) {
-      fail("backend.pinned must be a boolean");
-    }
-    const JsonValue* reason = require(backend, "pin_reason", "backend");
-    if (pinned != nullptr && pinned->is_bool() && reason != nullptr) {
-      // The reason travels with the pin: null exactly when not pinned.
-      if (pinned->as_bool() && !reason->is_string()) {
-        fail("backend.pin_reason must name a reason when pinned");
-      }
-      if (!pinned->as_bool() && !reason->is_null()) {
-        fail("backend.pin_reason must be null when not pinned");
-      }
+    if (level != nullptr && !simd && !level->is_null()) {
+      fail("backend.simd_level must be null for the serial backend");
     }
   }
 

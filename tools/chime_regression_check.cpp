@@ -26,10 +26,8 @@
 //
 // A plain number is a ceiling (the original form, used for the modeled
 // chime totals). An object budget holds a "min" floor and/or "max" ceiling
-// — the floor form gates ratios that must stay ABOVE a bound, e.g. the
-// backend_compare wall-acceleration notes in
-// bench/goldens/backend_scaling.json, where parallel-over-serial must stay
-// > 1.0 on the CI scaling leg.
+// — the floor form gates values that must stay ABOVE a bound, e.g. the
+// serve_load SLO pass flags in bench/goldens/backend_scaling.json.
 //
 // Every budgeted note must exist in the matching report, be a number, and
 // be within its bounds. Reports whose bench name has no budget entry pass
