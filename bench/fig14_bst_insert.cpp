@@ -34,6 +34,11 @@ int main() {
 
   double largest_tree_max_accel = 0;
   double smallest_tree_max_accel = 0;
+  // GCC 12 falsely flags the never-engaged string alternative of the Cell
+  // variant as maybe-uninitialized when the push_backs below are inlined
+  // (both of them under -fsanitize=address, the second one without).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
   for (std::size_t n : batch_sizes) {
     std::vector<Cell> cells;
     cells.reserve(1 + std::size(initial_sizes));
@@ -47,12 +52,7 @@ int main() {
         accel_sum += r.acceleration();
       }
       const double accel = accel_sum / 3.0;
-      // GCC 12 falsely flags the never-engaged string alternative of the
-      // Cell variant as maybe-uninitialized when push_back is inlined here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
       cells.push_back(Cell(accel, 2));
-#pragma GCC diagnostic pop
       if (ni == 2048) {
         largest_tree_max_accel = std::max(largest_tree_max_accel, accel);
       }
@@ -62,6 +62,7 @@ int main() {
     }
     table.add_row(std::move(cells));
   }
+#pragma GCC diagnostic pop
 
   table.print(std::cout,
               "Figure 14: acceleration ratio when entering multiple data "

@@ -226,29 +226,44 @@ void BM_PrimGather(benchmark::State& state, BackendKind kind) {
 BENCHMARK_CAPTURE(BM_PrimGather, serial, BackendKind::kSerial)->Arg(1 << 14);
 BENCHMARK_CAPTURE(BM_PrimGather, simd, BackendKind::kSimd)->Arg(1 << 14);
 
+// Scatter rows take (lanes, table words). Besides the square 2^14 row, the
+// 2^18-lane rows store into a 3*2^18-word table (6 MiB, past L2, where the
+// SIMD kernels write-prefetch) and into a 2^10-word table (cache-resident,
+// below the prefetch gate).
+void scatter_args(benchmark::internal::Benchmark* b) {
+  b->Args({1 << 14, 1 << 14})
+      ->Args({1 << 18, 3 << 18})
+      ->Args({1 << 18, 1 << 10});
+}
+
 void BM_PrimScatter(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto words = static_cast<std::size_t>(state.range(1));
   VectorMachine m = backend_machine(kind);
-  WordVec table(n, 0);
-  const WordVec idx = random_keys(n, static_cast<Word>(n), 40);
+  WordVec table(words, 0);
+  const WordVec idx = random_keys(n, static_cast<Word>(words), 40);
   const WordVec vals = m.iota(n);
   const folvec::vm::ConflictWindow window(
       m, table, folvec::vm::WindowKind::kDataRace, "simd scatter microbench");
   for (auto _ : state) {
     m.scatter(table, idx, vals);
     benchmark::DoNotOptimize(table.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_PrimScatter, serial, BackendKind::kSerial)->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimScatter, simd, BackendKind::kSimd)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_PrimScatter, serial, BackendKind::kSerial)
+    ->Apply(scatter_args);
+BENCHMARK_CAPTURE(BM_PrimScatter, simd, BackendKind::kSimd)
+    ->Apply(scatter_args);
 
 void BM_PrimScatterGatherEq(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto words = static_cast<std::size_t>(state.range(1));
   VectorMachine m = backend_machine(kind);
-  WordVec table(n, -1);
-  const WordVec idx = random_keys(n, static_cast<Word>(n), 41);
+  WordVec table(words, -1);
+  const WordVec idx = random_keys(n, static_cast<Word>(words), 41);
   const WordVec labels = m.iota(n);
   const folvec::vm::ConflictWindow window(
       m, table, folvec::vm::WindowKind::kDataRace, "simd sge microbench");
@@ -259,9 +274,9 @@ void BM_PrimScatterGatherEq(benchmark::State& state, BackendKind kind) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK_CAPTURE(BM_PrimScatterGatherEq, serial, BackendKind::kSerial)
-    ->Arg(1 << 14);
+    ->Apply(scatter_args);
 BENCHMARK_CAPTURE(BM_PrimScatterGatherEq, simd, BackendKind::kSimd)
-    ->Arg(1 << 14);
+    ->Apply(scatter_args);
 
 void BM_PrimCompress(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));

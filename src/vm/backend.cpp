@@ -29,7 +29,7 @@ void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
 
 Word SerialBackend::reduce_sum(std::span<const Word> v) {
   Word total = 0;
-  for (Word x : v) total += x;
+  for (Word x : v) total = wrap_add(total, x);
   return total;
 }
 

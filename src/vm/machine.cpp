@@ -218,7 +218,7 @@ void VectorMachine::iota_into(WordVec& out, std::size_t n, Word start,
       return;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      o[i] = start + step * static_cast<Word>(i);
+      o[i] = wrap_add(start, wrap_mul(step, static_cast<Word>(i)));
     }
   });
   if (analyzer_ != nullptr) {
@@ -319,7 +319,7 @@ WordVec VectorMachine::map(std::span<const Word> a, F f, SimdMapFn k,
 }
 
 WordVec VectorMachine::add(std::span<const Word> a, std::span<const Word> b) {
-  WordVec out = zip(a, b, [](Word x, Word y) { return x + y; },
+  WordVec out = zip(a, b, [](Word x, Word y) { return wrap_add(x, y); },
                     simd_pick(&SimdKernels::add));
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kAdd, out, a, b);
@@ -329,7 +329,7 @@ WordVec VectorMachine::add(std::span<const Word> a, std::span<const Word> b) {
 
 void VectorMachine::add_into(WordVec& out, std::span<const Word> a,
                              std::span<const Word> b) {
-  zip_into(out, a, b, [](Word x, Word y) { return x + y; },
+  zip_into(out, a, b, [](Word x, Word y) { return wrap_add(x, y); },
            simd_pick(&SimdKernels::add));
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kAdd, out, a, b);
@@ -338,7 +338,7 @@ void VectorMachine::add_into(WordVec& out, std::span<const Word> a,
 
 void VectorMachine::add_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x + s; },
+  map_into(out, a, [s](Word x) { return wrap_add(x, s); },
            simd_pick(&SimdKernels::add_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAddScalar, out, a, s);
@@ -346,7 +346,7 @@ void VectorMachine::add_scalar_into(WordVec& out, std::span<const Word> a,
 }
 
 WordVec VectorMachine::sub(std::span<const Word> a, std::span<const Word> b) {
-  WordVec out = zip(a, b, [](Word x, Word y) { return x - y; },
+  WordVec out = zip(a, b, [](Word x, Word y) { return wrap_sub(x, y); },
                     simd_pick(&SimdKernels::sub));
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kSub, out, a, b);
@@ -355,7 +355,7 @@ WordVec VectorMachine::sub(std::span<const Word> a, std::span<const Word> b) {
 }
 
 WordVec VectorMachine::mul(std::span<const Word> a, std::span<const Word> b) {
-  WordVec out = zip(a, b, [](Word x, Word y) { return x * y; },
+  WordVec out = zip(a, b, [](Word x, Word y) { return wrap_mul(x, y); },
                     simd_pick(&SimdKernels::mul));
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kMul, out, a, b);
@@ -364,7 +364,7 @@ WordVec VectorMachine::mul(std::span<const Word> a, std::span<const Word> b) {
 }
 
 WordVec VectorMachine::add_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x + s; },
+  WordVec out = map(a, [s](Word x) { return wrap_add(x, s); },
                     simd_pick(&SimdKernels::add_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAddScalar, out, a, s);
@@ -373,7 +373,7 @@ WordVec VectorMachine::add_scalar(std::span<const Word> a, Word s) {
 }
 
 WordVec VectorMachine::mul_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x * s; },
+  WordVec out = map(a, [s](Word x) { return wrap_mul(x, s); },
                     simd_pick(&SimdKernels::mul_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kMulScalar, out, a, s);
@@ -383,7 +383,7 @@ WordVec VectorMachine::mul_scalar(std::span<const Word> a, Word s) {
 
 void VectorMachine::mul_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x * s; },
+  map_into(out, a, [s](Word x) { return wrap_mul(x, s); },
            simd_pick(&SimdKernels::mul_s), s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kMulScalar, out, a, s);
@@ -502,7 +502,7 @@ void VectorMachine::shr_scalar_into(WordVec& out, std::span<const Word> a,
 }
 
 WordVec VectorMachine::negate(std::span<const Word> a) {
-  WordVec out = map(a, [](Word x) { return -x; },
+  WordVec out = map(a, [](Word x) { return wrap_neg(x); },
                     simd_pick(&SimdKernels::neg), 0);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kNegate, out, a);
@@ -511,7 +511,7 @@ WordVec VectorMachine::negate(std::span<const Word> a) {
 }
 
 void VectorMachine::negate_into(WordVec& out, std::span<const Word> a) {
-  map_into(out, a, [](Word x) { return -x; },
+  map_into(out, a, [](Word x) { return wrap_neg(x); },
            simd_pick(&SimdKernels::neg), 0);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kNegate, out, a);

@@ -59,6 +59,26 @@ namespace folvec::vm {
 using Word = std::int64_t;
 using WordVec = std::vector<Word>;
 
+/// Two's-complement wrap-around Word arithmetic, the machine's semantics for
+/// every arithmetic instruction. Signed overflow is undefined in C++, so the
+/// scalar lane loops compute through std::uint64_t, whose arithmetic wraps;
+/// the conversion back to Word is modular since C++20.
+constexpr Word wrap_add(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) +
+                           static_cast<std::uint64_t>(b));
+}
+constexpr Word wrap_sub(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) -
+                           static_cast<std::uint64_t>(b));
+}
+constexpr Word wrap_mul(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) *
+                           static_cast<std::uint64_t>(b));
+}
+constexpr Word wrap_neg(Word a) {
+  return static_cast<Word>(0 - static_cast<std::uint64_t>(a));
+}
+
 /// Which colliding lane survives a scatter to a shared address.
 enum class ScatterOrder : std::uint8_t {
   kForward,   ///< lanes written 0..n-1; highest colliding lane survives

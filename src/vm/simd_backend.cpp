@@ -154,7 +154,7 @@ SimdLevel simd_parse_level(const char* spelling) {
 Word SimdBackend::reduce_sum(std::span<const Word> v) {
   if (k_->reduce_sum != nullptr) return k_->reduce_sum(v.data(), v.size());
   Word total = 0;
-  for (const Word x : v) total += x;
+  for (const Word x : v) total = wrap_add(total, x);
   return total;
 }
 
@@ -226,14 +226,20 @@ void SimdBackend::scatter(std::span<Word> table, std::span<const Word> idx,
                           std::span<const Word> vals, const std::uint8_t* mask,
                           ScatterTraversal traversal,
                           std::span<const std::size_t> order) {
-  // Hardware scatters handle the two lane-order traversals; explicit orders
-  // (shuffled) have no vector shape and use the serialized reference loop.
+  // The level's scatter loops handle the two lane-order traversals; explicit
+  // orders (shuffled) have no vector shape and use the serialized reference
+  // loop. Tables past the gate get the write-prefetching variant: their
+  // random stores miss cache, and a cache-resident table only pays for the
+  // extra prefetch instructions.
+  const bool prefetch = table.size() >= kScatterPrefetchMinWords;
   if (traversal == ScatterTraversal::kForward && k_->scatter_fwd != nullptr) {
-    k_->scatter_fwd(table.data(), idx.data(), vals.data(), mask, idx.size());
+    k_->scatter_fwd(table.data(), idx.data(), vals.data(), mask, idx.size(),
+                    prefetch);
     return;
   }
   if (traversal == ScatterTraversal::kReverse && k_->scatter_rev != nullptr) {
-    k_->scatter_rev(table.data(), idx.data(), vals.data(), mask, idx.size());
+    k_->scatter_rev(table.data(), idx.data(), vals.data(), mask, idx.size(),
+                    prefetch);
     return;
   }
   apply_scatter_reference(table, idx, vals, mask, traversal, order);

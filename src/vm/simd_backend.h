@@ -13,9 +13,11 @@
 // construction.
 //
 // Scatter at AVX-512 uses VPSCATTERQQ's architecturally ordered overlap
-// resolution for kForward/kReverse; kExplicit traversals (shuffled lane
-// orders) and levels without hardware scatter use the serialized reference
-// loop — ELS semantics are preserved either way.
+// resolution for kForward/kReverse; the other levels run the portable
+// lane-at-a-time loops, and kExplicit traversals (shuffled lane orders) use
+// the serialized reference loop — ELS semantics are preserved either way.
+// SimdBackend::scatter is the one place that chooses between the plain and
+// the write-prefetching kernels, from the table size.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +52,12 @@ const char* simd_level_name(SimdLevel level);
 /// Parses a FOLVEC_SIMD_LEVEL spelling ("auto", "scalar", "neon", "avx2",
 /// "avx512"). Unknown spellings return kAuto after a one-time warning.
 SimdLevel simd_parse_level(const char* spelling);
+
+/// Smallest table, in words, whose scatters run the write-prefetching
+/// kernels (kScatterPrefetchLanes ahead). Below it the table stays in cache
+/// and the prefetches are pure overhead; docs/performance.md has the sweep
+/// this was read from.
+inline constexpr std::size_t kScatterPrefetchMinWords = std::size_t{1} << 16;
 
 /// Single-threaded backend executing through a SimdKernels table. The table
 /// must outlive the backend (tables are function-local statics, so any table

@@ -10,11 +10,10 @@
 //
 // Every entry is optional (null means "this level has no profitable lowering
 // for the op"): VectorMachine and SimdBackend fall back to the scalar
-// reference loop for null entries, so a sparse table — NEON has no gather,
-// AVX2 has no scatter — stays correct by construction. Non-null entries must
-// be bit-identical to SerialBackend for every input, including wrap-around
-// arithmetic and the ELS scatter survivor; tests/backend_diff_test.cpp
-// enforces that per level.
+// reference loop for null entries, so a sparse table — NEON has no gather —
+// stays correct by construction. Non-null entries must be bit-identical to
+// SerialBackend for every input, including wrap-around arithmetic and the
+// ELS scatter survivor; tests/backend_diff_test.cpp enforces that per level.
 //
 // Lane-kernel entries (SimdBinFn and friends) run over lanes [lo, hi) of a
 // vector; VectorMachine issues each instruction as one call over [0, n).
@@ -109,13 +108,16 @@ struct SimdKernels {
   /// ELS scatter, forward traversal: bit-identical to
   /// apply_scatter_reference(kForward). AVX-512 gets this from VPSCATTERQQ's
   /// architecturally LSB-to-MSB overlapping-store order (blocks ascending);
-  /// levels without an ordered hardware scatter leave it null and take the
-  /// serialized-duplicate fallback.
+  /// levels without an ordered hardware scatter use scatter_fwd_portable.
+  /// With `prefetch` set, the kernel write-prefetches the table line of
+  /// every mask-active lane kScatterPrefetchLanes ahead in traversal order
+  /// (SimdBackend::scatter decides from the table size); the prefetch has no
+  /// architectural effect, so the memory image is the same either way.
   void (*scatter_fwd)(Word* table, const Word* idx, const Word* vals,
-                      const std::uint8_t* mask, std::size_t n);
+                      const std::uint8_t* mask, std::size_t n, bool prefetch);
   /// ELS scatter, reverse traversal (lane n-1 first).
   void (*scatter_rev)(Word* table, const Word* idx, const Word* vals,
-                      const std::uint8_t* mask, std::size_t n);
+                      const std::uint8_t* mask, std::size_t n, bool prefetch);
   /// Readback half of the fused scatter_gather_eq: out[i] = (mask-active and
   /// table[idx[i]] == vals[i]); returns the survivor count. Every idx is in
   /// bounds by the time this runs (the machine's between-passes recheck).
@@ -131,6 +133,49 @@ struct SimdKernels {
   void (*conflict_rank)(Word* rank, const Word* idx, std::size_t n,
                         Word* counts);
 };
+
+/// How far ahead, in lanes of traversal order, a prefetching scatter
+/// requests the line it will store to. A random store that misses L2 holds
+/// its store-buffer entry for the whole read-for-ownership miss, and the
+/// hardware overlaps few of them; a write prefetch issued this many lanes
+/// early starts those misses while earlier stores drain. 32, 64 and 128
+/// measure the same on a 2 MiB-L2 AVX-512 host (docs/performance.md).
+inline constexpr std::size_t kScatterPrefetchLanes = 32;
+
+/// Write-prefetches the table lines of the mask-active lanes in [lo, hi).
+/// Inactive lanes' indices are never bounds-checked, so they are not turned
+/// into addresses: an inactive lane prefetches the table's first line
+/// instead. That is a select rather than a branch: FOL masks are random,
+/// and a mispredicted branch per lane made a masked scatter 6x slower than
+/// no prefetch at all. Always inlined: a prefetch has no side effect the
+/// compiler can see, so GCC infers an out-of-line copy of this helper
+/// `const` and deletes every call to it.
+[[gnu::always_inline]] inline void prefetch_scatter_lanes(
+    Word* table, const Word* idx, const std::uint8_t* mask, std::size_t lo,
+    std::size_t hi) {
+  if (mask == nullptr) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      __builtin_prefetch(table + idx[i], /*rw=*/1, /*locality=*/3);
+    }
+    return;
+  }
+  for (std::size_t i = lo; i < hi; ++i) {
+    // All ones for an active lane, zero for an inactive one. Written as
+    // arithmetic because GCC turns the equivalent ?: back into a branch.
+    const Word keep = -static_cast<Word>(mask[i] != 0);
+    __builtin_prefetch(table + (idx[i] & keep), /*rw=*/1, /*locality=*/3);
+  }
+}
+
+/// The portable ELS scatter loops (one lane at a time, in traversal order),
+/// shared by every level without an ordered hardware scatter: scalar, AVX2
+/// and NEON. Same signature and prefetch contract as the table entries.
+void scatter_fwd_portable(Word* table, const Word* idx, const Word* vals,
+                          const std::uint8_t* mask, std::size_t n,
+                          bool prefetch);
+void scatter_rev_portable(Word* table, const Word* idx, const Word* vals,
+                          const std::uint8_t* mask, std::size_t n,
+                          bool prefetch);
 
 /// The always-available reference table (plain scalar loops, every entry
 /// non-null so forced-scalar runs still exercise the table plumbing).

@@ -11,8 +11,10 @@
 //   * compress: the classic movemask -> 4-bit-key permutation-LUT pack
 //     (VPERMD on 32-bit pairs); groups too close to the end of the exactly
 //     sized destination fall back to scalar stores.
-//   * scatter / conflict detection: none in AVX2 — entries stay null, so
-//     callers take the serialized-duplicate fallback.
+//   * scatter: none in AVX2 — the table points at the portable
+//     lane-at-a-time loops (simd_kernels_scalar.cpp), which add the
+//     write prefetch for tables too big for cache.
+//   * conflict detection: none in AVX2 — the entry stays null.
 //
 // Mask bytes cross the vector/scalar boundary through MOVMSKPD on the
 // 64-bit compare results (one bit per lane).
@@ -77,7 +79,7 @@ void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_add_epi64(load4(a + i), load4(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] + b[i];
+  for (; i < hi; ++i) o[i] = wrap_add(a[i], b[i]);
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -86,7 +88,7 @@ void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_sub_epi64(load4(a + i), load4(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] - b[i];
+  for (; i < hi; ++i) o[i] = wrap_sub(a[i], b[i]);
 }
 
 void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -95,10 +97,7 @@ void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, mul64(load4(a + i), load4(b + i)));
   }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(b[i]));
-  }
+  for (; i < hi; ++i) o[i] = wrap_mul(a[i], b[i]);
 }
 
 void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -107,17 +106,14 @@ void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_add_epi64(load4(a + i), vs));
   }
-  for (; i < hi; ++i) o[i] = a[i] + s;
+  for (; i < hi; ++i) o[i] = wrap_add(a[i], s);
 }
 
 void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   const __m256i vs = _mm256_set1_epi64x(s);
   std::size_t i = lo;
   for (; i + 4 <= hi; i += 4) store4(o + i, mul64(load4(a + i), vs));
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(s));
-  }
+  for (; i < hi; ++i) o[i] = wrap_mul(a[i], s);
 }
 
 void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -162,7 +158,7 @@ void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_sub_epi64(zero, load4(a + i)));
   }
-  for (; i < hi; ++i) o[i] = -a[i];
+  for (; i < hi; ++i) o[i] = wrap_neg(a[i]);
 }
 
 void k_cmp_eq(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
@@ -339,7 +335,9 @@ void k_iota(Word* o, Word start, Word step, std::size_t lo, std::size_t hi) {
       v = _mm256_add_epi64(v, bump);
     }
   }
-  for (; i < hi; ++i) o[i] = start + step * static_cast<Word>(i);
+  for (; i < hi; ++i) {
+    o[i] = wrap_add(start, wrap_mul(step, static_cast<Word>(i)));
+  }
 }
 
 void k_gather(Word* o, const Word* table, const Word* idx, std::size_t lo,
@@ -400,7 +398,7 @@ Word k_reduce_sum(const Word* v, std::size_t n) {
       static_cast<std::uint64_t>(lanes[1]) +
       static_cast<std::uint64_t>(lanes[2]) +
       static_cast<std::uint64_t>(lanes[3]));
-  for (; i < n; ++i) total += v[i];
+  for (; i < n; ++i) total = wrap_add(total, v[i]);
   return total;
 }
 
@@ -611,9 +609,9 @@ const SimdKernels& simd_kernels_avx2() {
       k_compress,
       k_partition,
       k_first_oob,
-      // AVX2 has no scatter instruction: serialized-duplicate fallback.
-      nullptr,
-      nullptr,
+      // AVX2 has no scatter instruction: the portable lane-at-a-time loops.
+      scatter_fwd_portable,
+      scatter_rev_portable,
       k_match_eq,
       // No VPCONFLICTQ below AVX-512 CD.
       nullptr,

@@ -28,6 +28,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 
 #include "vm/backend.h"
@@ -71,7 +72,7 @@ void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_add_epi64(load8(a + i), load8(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] + b[i];
+  for (; i < hi; ++i) o[i] = wrap_add(a[i], b[i]);
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -80,7 +81,7 @@ void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_sub_epi64(load8(a + i), load8(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] - b[i];
+  for (; i < hi; ++i) o[i] = wrap_sub(a[i], b[i]);
 }
 
 void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -89,10 +90,7 @@ void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_mullo_epi64(load8(a + i), load8(b + i)));
   }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(b[i]));
-  }
+  for (; i < hi; ++i) o[i] = wrap_mul(a[i], b[i]);
 }
 
 void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -101,7 +99,7 @@ void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_add_epi64(load8(a + i), vs));
   }
-  for (; i < hi; ++i) o[i] = a[i] + s;
+  for (; i < hi; ++i) o[i] = wrap_add(a[i], s);
 }
 
 void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -110,10 +108,7 @@ void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_mullo_epi64(load8(a + i), vs));
   }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(s));
-  }
+  for (; i < hi; ++i) o[i] = wrap_mul(a[i], s);
 }
 
 void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -151,7 +146,7 @@ void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_sub_epi64(zero, load8(a + i)));
   }
-  for (; i < hi; ++i) o[i] = -a[i];
+  for (; i < hi; ++i) o[i] = wrap_neg(a[i]);
 }
 
 // ---- div/mod by a positive scalar: magic-multiply lowering ------------------
@@ -465,7 +460,9 @@ void k_iota(Word* o, Word start, Word step, std::size_t lo, std::size_t hi) {
       v = _mm512_add_epi64(v, bump);
     }
   }
-  for (; i < hi; ++i) o[i] = start + step * static_cast<Word>(i);
+  for (; i < hi; ++i) {
+    o[i] = wrap_add(start, wrap_mul(step, static_cast<Word>(i)));
+  }
 }
 
 void k_gather(Word* o, const Word* table, const Word* idx, std::size_t lo,
@@ -517,7 +514,7 @@ Word k_reduce_sum(const Word* v, std::size_t n) {
   // Wrap-around addition is fully reassociable, so the horizontal fold is
   // bit-identical to the serial left fold.
   Word total = _mm512_reduce_add_epi64(acc);
-  for (; i < n; ++i) total += v[i];
+  for (; i < n; ++i) total = wrap_add(total, v[i]);
   return total;
 }
 
@@ -635,11 +632,24 @@ std::size_t k_first_oob(const Word* idx, std::size_t n, std::size_t table_size,
   return Backend::npos;
 }
 
-void k_scatter_fwd(Word* table, const Word* idx, const Word* vals,
-                   const std::uint8_t* mask, std::size_t n) {
+template <bool kPrefetch>
+void scatter_fwd_blocks(Word* table, const Word* idx, const Word* vals,
+                        const std::uint8_t* mask, std::size_t n) {
+  constexpr std::size_t ahead = kScatterPrefetchLanes;
   const __mmask8 all = static_cast<__mmask8>(0xFF);
+  if constexpr (kPrefetch) {
+    prefetch_scatter_lanes(table, idx, mask, 0, std::min(ahead, n));
+  }
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
+    if constexpr (kPrefetch) {
+      // The block `ahead` lanes on; earlier blocks and the prologue
+      // covered everything before it.
+      const std::size_t lo = i + ahead;
+      if (lo < n) {
+        prefetch_scatter_lanes(table, idx, mask, lo, std::min(lo + 8, n));
+      }
+    }
     const __mmask8 active =
         mask != nullptr ? mask_from_bytes(mask + i) : all;
     // VPSCATTERQQ resolves overlapping stores LSB-to-MSB: the highest
@@ -654,12 +664,27 @@ void k_scatter_fwd(Word* table, const Word* idx, const Word* vals,
   }
 }
 
-void k_scatter_rev(Word* table, const Word* idx, const Word* vals,
-                   const std::uint8_t* mask, std::size_t n) {
+void k_scatter_fwd(Word* table, const Word* idx, const Word* vals,
+                   const std::uint8_t* mask, std::size_t n, bool prefetch) {
+  if (prefetch) {
+    scatter_fwd_blocks<true>(table, idx, vals, mask, n);
+  } else {
+    scatter_fwd_blocks<false>(table, idx, vals, mask, n);
+  }
+}
+
+template <bool kPrefetch>
+void scatter_rev_blocks(Word* table, const Word* idx, const Word* vals,
+                        const std::uint8_t* mask, std::size_t n) {
   // Reverse traversal: the tail block first (scalar, descending), then full
   // blocks descending with lanes reversed inside each register so the
   // LSB-to-MSB overlap rule yields "lowest original lane wins per block".
+  constexpr std::size_t ahead = kScatterPrefetchLanes;
   const std::size_t full = n / 8 * 8;
+  if constexpr (kPrefetch) {
+    // The tail plus the first `ahead` lanes of the block walk.
+    prefetch_scatter_lanes(table, idx, mask, full - std::min(ahead, full), n);
+  }
   for (std::size_t i = n; i > full; --i) {
     const std::size_t lane = i - 1;
     if (mask != nullptr && mask[lane] == 0) continue;
@@ -669,11 +694,26 @@ void k_scatter_rev(Word* table, const Word* idx, const Word* vals,
   const __mmask8 all = static_cast<__mmask8>(0xFF);
   for (std::size_t i = full; i > 0; i -= 8) {
     const std::size_t base = i - 8;
+    if constexpr (kPrefetch) {
+      if (base >= ahead) {
+        prefetch_scatter_lanes(table, idx, mask, base - ahead,
+                               base - ahead + 8);
+      }
+    }
     const __mmask8 active =
         mask != nullptr ? reverse_mask(mask_from_bytes(mask + base)) : all;
     _mm512_mask_i64scatter_epi64(
         table, active, _mm512_permutexvar_epi64(rev, load8(idx + base)),
         _mm512_permutexvar_epi64(rev, load8(vals + base)), 8);
+  }
+}
+
+void k_scatter_rev(Word* table, const Word* idx, const Word* vals,
+                   const std::uint8_t* mask, std::size_t n, bool prefetch) {
+  if (prefetch) {
+    scatter_rev_blocks<true>(table, idx, vals, mask, n);
+  } else {
+    scatter_rev_blocks<false>(table, idx, vals, mask, n);
   }
 }
 

@@ -3,8 +3,9 @@
 // aarch64 only. NEON's 64-bit integer support is narrow — no 64-bit
 // multiply, no gather/scatter, no compress — so this table is deliberately
 // sparse: the populated entries are the elementwise/mask ops where two-lane
-// vectors still beat scalar code, and everything else stays null to take
-// the scalar fallback. Notable mappings:
+// vectors still beat scalar code, plus the portable scatter loops shared
+// with scalar and AVX2; everything else stays null to take the scalar
+// fallback. Notable mappings:
 //
 //   * shifts: VSHL with a negative count register is NEON's right shift, and
 //     the signed variant is arithmetic — exactly the `>> k` semantics.
@@ -42,7 +43,7 @@ void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 2 <= hi; i += 2) {
     store2(o + i, vaddq_s64(load2(a + i), load2(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] + b[i];
+  for (; i < hi; ++i) o[i] = wrap_add(a[i], b[i]);
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -51,14 +52,14 @@ void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 2 <= hi; i += 2) {
     store2(o + i, vsubq_s64(load2(a + i), load2(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] - b[i];
+  for (; i < hi; ++i) o[i] = wrap_sub(a[i], b[i]);
 }
 
 void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   const int64x2_t vs = vdupq_n_s64(s);
   std::size_t i = lo;
   for (; i + 2 <= hi; i += 2) store2(o + i, vaddq_s64(load2(a + i), vs));
-  for (; i < hi; ++i) o[i] = a[i] + s;
+  for (; i < hi; ++i) o[i] = wrap_add(a[i], s);
 }
 
 void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -87,7 +88,7 @@ void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
            std::size_t hi) {
   std::size_t i = lo;
   for (; i + 2 <= hi; i += 2) store2(o + i, vnegq_s64(load2(a + i)));
-  for (; i < hi; ++i) o[i] = -a[i];
+  for (; i < hi; ++i) o[i] = wrap_neg(a[i]);
 }
 
 inline void store_bits(std::uint8_t* o, uint64x2_t cmp) {
@@ -240,7 +241,7 @@ Word k_reduce_sum(const Word* v, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) acc = vaddq_s64(acc, load2(v + i));
   Word total = vaddvq_s64(acc);
-  for (; i < n; ++i) total += v[i];
+  for (; i < n; ++i) total = wrap_add(total, v[i]);
   return total;
 }
 
@@ -304,8 +305,9 @@ const SimdKernels& simd_kernels_neon() {
       nullptr,
       nullptr,
       nullptr,
-      nullptr,
-      nullptr,
+      // No scatter addressing mode: the portable lane-at-a-time loops.
+      scatter_fwd_portable,
+      scatter_rev_portable,
       nullptr,
       // No conflict-detection instruction.
       nullptr,

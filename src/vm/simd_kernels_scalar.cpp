@@ -4,7 +4,10 @@
 // unsupported-host downgrade lands on. It exists so the dispatch plumbing,
 // telemetry counters, and differential tests run identically whether or not
 // the host has a vector ISA — the kernels themselves are the same loops
-// SerialBackend runs, so bit-identity is by construction.
+// SerialBackend runs, so bit-identity is by construction. The scatter loops
+// are defined here for the AVX2 and NEON tables too; past the table-size
+// gate they add a write prefetch, which changes no stored value.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -17,25 +20,25 @@ namespace {
 
 void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] + b[i];
+  for (std::size_t i = lo; i < hi; ++i) o[i] = wrap_add(a[i], b[i]);
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] - b[i];
+  for (std::size_t i = lo; i < hi; ++i) o[i] = wrap_sub(a[i], b[i]);
 }
 
 void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] * b[i];
+  for (std::size_t i = lo; i < hi; ++i) o[i] = wrap_mul(a[i], b[i]);
 }
 
 void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] + s;
+  for (std::size_t i = lo; i < hi; ++i) o[i] = wrap_add(a[i], s);
 }
 
 void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] * s;
+  for (std::size_t i = lo; i < hi; ++i) o[i] = wrap_mul(a[i], s);
 }
 
 void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -52,7 +55,7 @@ void k_shr_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
 
 void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = -a[i];
+  for (std::size_t i = lo; i < hi; ++i) o[i] = wrap_neg(a[i]);
 }
 
 void k_div_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -148,7 +151,7 @@ void k_from_mask(Word* o, const std::uint8_t* m, std::size_t lo,
 
 void k_iota(Word* o, Word start, Word step, std::size_t lo, std::size_t hi) {
   for (std::size_t i = lo; i < hi; ++i) {
-    o[i] = start + step * static_cast<Word>(i);
+    o[i] = wrap_add(start, wrap_mul(step, static_cast<Word>(i)));
   }
 }
 
@@ -173,7 +176,7 @@ void k_load_strided(Word* o, const Word* table, std::size_t offset,
 
 Word k_reduce_sum(const Word* v, std::size_t n) {
   Word total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += v[i];
+  for (std::size_t i = 0; i < n; ++i) total = wrap_add(total, v[i]);
   return total;
 }
 
@@ -226,21 +229,10 @@ std::size_t k_first_oob(const Word* idx, std::size_t n, std::size_t table_size,
   return Backend::npos;
 }
 
-void k_scatter_fwd(Word* table, const Word* idx, const Word* vals,
-                   const std::uint8_t* mask, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask != nullptr && mask[i] == 0) continue;
-    table[static_cast<std::size_t>(idx[i])] = vals[i];
-  }
-}
-
-void k_scatter_rev(Word* table, const Word* idx, const Word* vals,
-                   const std::uint8_t* mask, std::size_t n) {
-  for (std::size_t i = n; i > 0; --i) {
-    const std::size_t lane = i - 1;
-    if (mask != nullptr && mask[lane] == 0) continue;
-    table[static_cast<std::size_t>(idx[lane])] = vals[lane];
-  }
+inline void store_lane(Word* table, const Word* idx, const Word* vals,
+                       const std::uint8_t* mask, std::size_t i) {
+  if (mask != nullptr && mask[i] == 0) return;
+  table[static_cast<std::size_t>(idx[i])] = vals[i];
 }
 
 std::size_t k_match_eq(std::uint8_t* out, const Word* table, const Word* idx,
@@ -267,6 +259,36 @@ void k_conflict_rank(Word* rank, const Word* idx, std::size_t n,
 }
 
 }  // namespace
+
+void scatter_fwd_portable(Word* table, const Word* idx, const Word* vals,
+                          const std::uint8_t* mask, std::size_t n,
+                          bool prefetch) {
+  constexpr std::size_t ahead = kScatterPrefetchLanes;
+  std::size_t i = 0;
+  if (prefetch) {
+    prefetch_scatter_lanes(table, idx, mask, 0, std::min(ahead, n));
+    for (; i + ahead < n; ++i) {
+      prefetch_scatter_lanes(table, idx, mask, i + ahead, i + ahead + 1);
+      store_lane(table, idx, vals, mask, i);
+    }
+  }
+  for (; i < n; ++i) store_lane(table, idx, vals, mask, i);
+}
+
+void scatter_rev_portable(Word* table, const Word* idx, const Word* vals,
+                          const std::uint8_t* mask, std::size_t n,
+                          bool prefetch) {
+  constexpr std::size_t ahead = kScatterPrefetchLanes;
+  std::size_t i = n;  // lanes [0, i) are still to store, highest first
+  if (prefetch) {
+    prefetch_scatter_lanes(table, idx, mask, n - std::min(ahead, n), n);
+    for (; i > ahead; --i) {
+      prefetch_scatter_lanes(table, idx, mask, i - 1 - ahead, i - ahead);
+      store_lane(table, idx, vals, mask, i - 1);
+    }
+  }
+  for (; i > 0; --i) store_lane(table, idx, vals, mask, i - 1);
+}
 
 const SimdKernels& simd_kernels_scalar() {
   static const SimdKernels k = {
@@ -308,8 +330,8 @@ const SimdKernels& simd_kernels_scalar() {
       k_compress,
       k_partition,
       k_first_oob,
-      k_scatter_fwd,
-      k_scatter_rev,
+      scatter_fwd_portable,
+      scatter_rev_portable,
       k_match_eq,
       k_conflict_rank,
   };

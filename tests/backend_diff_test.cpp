@@ -747,6 +747,77 @@ TEST_P(SimdDiffTest, FirstOobReturnsTheFirstActiveHit) {
   EXPECT_EQ(simd.first_oob(idx, 256, nullptr), 100u);
 }
 
+TEST_P(SimdDiffTest, PrefetchingScattersMatchSerialAroundDistanceAndGate) {
+  // The write-prefetching scatter kernels run for tables of at least
+  // kScatterPrefetchMinWords and look kScatterPrefetchLanes lanes ahead.
+  // Lengths straddle the distance (and a block of 8 past it), tables
+  // straddle the gate, and inactive lanes carry wild indices that must
+  // never become addresses: masked scatter, masked fused
+  // scatter_gather_eq and ordered scatter all stay bit- and
+  // chime-identical to serial.
+  constexpr std::size_t d = kScatterPrefetchLanes;
+  constexpr std::size_t gate = kScatterPrefetchMinWords;
+  const Word wild[] = {std::numeric_limits<Word>::min(), -1,
+                       static_cast<Word>(gate) + (Word{1} << 40)};
+  Xoshiro256 rng(0x9f37c4);
+  for (const std::size_t table_size :
+       {std::size_t{97}, gate - 1, gate, gate + 1}) {
+    for (const std::size_t n :
+         {std::size_t{1}, d - 8, d - 1, d, d + 1, d + 8, 2 * d + 11,
+          std::size_t{1000}}) {
+      WordVec idx(n);
+      WordVec wild_idx(n);
+      WordVec vals(n);
+      Mask active(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // A narrow index range so lanes collide and the ELS survivor shows.
+        idx[i] = rng.in_range(0, std::min<Word>(static_cast<Word>(table_size),
+                                                static_cast<Word>(n)) -
+                                     1);
+        vals[i] = rng.in_range(-1000, 1000);
+        active[i] = static_cast<std::uint8_t>(rng.below(3) != 0);
+        wild_idx[i] = active[i] != 0 ? idx[i] : wild[i % 3];
+      }
+      const auto seed = static_cast<std::uint64_t>(table_size * 31 + n);
+      VectorMachine serial = make_serial(order(), seed);
+      VectorMachine simd = make_simd(order(), seed, level());
+      WordVec table_s(table_size, -7);
+      WordVec table_v(table_size, -7);
+
+      serial.scatter_masked(table_s, wild_idx, vals, active);
+      simd.scatter_masked(table_v, wild_idx, vals, active);
+      ASSERT_EQ(table_s, table_v) << "masked scatter, table=" << table_size
+                                  << " n=" << n;
+
+      // Fused masked overwrite-and-check: in-bounds inactive lanes give a
+      // survivor mask; wild ones fault at the readback with the scatter
+      // half already stored, on both backends alike.
+      ASSERT_EQ(serial.scatter_gather_eq_masked(table_s, idx, vals, active),
+                simd.scatter_gather_eq_masked(table_v, idx, vals, active))
+          << "masked sge, table=" << table_size << " n=" << n;
+      ASSERT_EQ(table_s, table_v);
+      const bool any_inactive = active.popcount() < n;
+      if (any_inactive) {
+        for (auto& x : vals) x = wrap_add(x, 1);
+        EXPECT_THROW(
+            serial.scatter_gather_eq_masked(table_s, wild_idx, vals, active),
+            PreconditionError);
+        EXPECT_THROW(
+            simd.scatter_gather_eq_masked(table_v, wild_idx, vals, active),
+            PreconditionError);
+        ASSERT_EQ(table_s, table_v) << "faulting masked sge, table="
+                                    << table_size << " n=" << n;
+      }
+
+      serial.scatter_ordered(table_s, idx, vals);
+      simd.scatter_ordered(table_v, idx, vals);
+      ASSERT_EQ(table_s, table_v) << "ordered scatter, table=" << table_size
+                                  << " n=" << n;
+      expect_same_costs(serial.cost(), simd.cost());
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllOrdersAllLevels, SimdDiffTest,
     ::testing::Combine(::testing::Values(ScatterOrder::kForward,
